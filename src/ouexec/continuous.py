@@ -8,9 +8,10 @@ first-order condition per unit time reads
     P(xi_r) = exp(-e^{-2 b r} y) * lambda / alpha,   P(x) = e^{-ax}(1 - ax)
 
 and lambda* is the root of a scalar equation H(lambda) = 0 obtained by
-substituting the implied schedule back into the constraint. H is strictly
-decreasing with H(0) > 0, so the root is found by bisection plus a Newton
-polish with the analytic derivative.
+substituting the implied schedule back into the constraint. P^{-1} is
+closed form through Lambert W, and so is d xi / d lambda; H is strictly
+decreasing with H(0) > 0, so its root is found by a bracketed Newton
+iteration on H and its analytic slope.
 
 xi_r is the (shifted) log of the expected price along the optimal path:
 E[S_r] = e^{F+y} exp(e^{-2 b r} y - a xi_r). The cumulative sales process
@@ -26,11 +27,9 @@ import numpy as np
 
 from . import zero_vol
 from .errors import ConfigError, NumericalError, RegimeError
-from .model import MarketState, ModelParams, Regime, classify, derive
-from .numerics import adaptive_quad, bisect_vec, fixed_quad, newton_polish
+from .model import MarketState, ModelParams, Regime, block_factor, classify, derive
+from .numerics import adaptive_quad, find_root, lambert_w0, panel_nodes
 from .strategy import ExecutionStrategy, assemble_optimal
-
-_FLAT_ZONE = 0.1  # stay on pure bisection within this * (1/alpha) of the flat point 2/alpha
 
 
 def p_eval(x, alpha: float):
@@ -42,17 +41,13 @@ def p_eval(x, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _p_derivative(x, alpha: float):
-    return -alpha * np.exp(-alpha * x) * (2.0 - alpha * x)
-
-
 def p_inverse(q, alpha: float):
     """Inverse of P on its decreasing branch x <= 2/alpha.
 
     P maps (-inf, 2/alpha] onto [-e^{-2}, inf); q below -e^{-2} has no
-    preimage. Bisection brackets the root, Newton finishes except within
-    the flat zone near 2/alpha where the derivative vanishes and bisection
-    alone is already accurate (|P - q| <= |P'| * width).
+    preimage. With w = 1 - alpha x, P(x) = q reads w e^w = e q, so the
+    inverse is x = (1 - W0(e q)) / alpha on the principal branch of
+    Lambert W.
     """
     if alpha <= 0.0:
         raise ConfigError("alpha must be positive")
@@ -62,26 +57,10 @@ def p_inverse(q, alpha: float):
     if np.any(q < floor - 1e-12):
         raise ConfigError("value below the minimum of the price response")
     q = np.maximum(q, floor)
-
-    hi = np.full_like(q, 2.0 / alpha)
-    lo = np.zeros_like(q)
-    big = q > 1.0
-    if np.any(big):
-        lo[big] = -(np.log(q[big]) + 1.0) / alpha
-
-    lo, hi = bisect_vec(lambda x: p_eval(x, alpha) - q, lo, hi, iters=45)
-    x = 0.5 * (lo + hi)
-
-    safe = (2.0 / alpha - x) > _FLAT_ZONE / alpha
-    for _ in range(6):
-        if not np.any(safe):
-            break
-        r = p_eval(x[safe], alpha) - q[safe]
-        step = r / _p_derivative(x[safe], alpha)
-        x[safe] = np.clip(x[safe] - step, lo[safe], hi[safe])
+    x = (1.0 - lambert_w0(math.e * q)) / alpha
 
     resid = np.abs(p_eval(x, alpha) - q)
-    if np.any(resid > 1e-12 * np.maximum(1.0, np.abs(q))):
+    if not np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(q))):
         raise NumericalError("price response inversion did not converge")
     return float(x[0]) if scalar else x
 
@@ -131,14 +110,10 @@ def zeta_star(params: ModelParams, state: MarketState, lam: float, r, form: str 
     return float(out[0]) if scalar else out
 
 
-def _xi_integral(params: ModelParams, state: MarketState, lam: float,
-                 panels: int | None = None):
-    """integral of xi*_r over [0, t]; adaptive unless a panel count is pinned."""
+def _xi_integral(params: ModelParams, state: MarketState, lam: float):
+    """Adaptive integral of xi*_r over [0, t]."""
     f = lambda r: xi_star(params, state, lam, r)
-    t = params.horizon
-    if panels is None:
-        return adaptive_quad(f, 0.0, t, rel_tol=1e-13, abs_tol=1e-15)
-    return fixed_quad(f, 0.0, t, panels=panels)
+    return adaptive_quad(f, 0.0, params.horizon, rel_tol=1e-13, abs_tol=1e-15)
 
 
 def h_eval(params: ModelParams, state: MarketState, lam: float,
@@ -154,24 +129,27 @@ def h_eval(params: ModelParams, state: MarketState, lam: float,
         raise ConfigError("alpha must be positive")
     if lam < 0.0:
         raise ConfigError("the multiplier is nonnegative")
-    j = _xi_integral(params, state, lam, panels=panels)
+    if panels is not None:
+        return _h_with_slope(params, state, lam, panels)[0]
+    j = _xi_integral(params, state, lam)
     return a * math.exp(a * params.beta * j - a * state.holdings + d.z - d.y) - lam
 
 
-def _h_derivative(params: ModelParams, state: MarketState, lam: float,
-                  panels: int) -> float:
+def _h_with_slope(params: ModelParams, state: MarketState, lam: float,
+                  panels: int) -> tuple[float, float]:
+    """H(lam) on `panels` Gauss-Legendre panels of order 16, and dH/dlam.
+
+    Both come from one inversion on the quadrature nodes: differentiating
+    P(xi) = g lam / alpha gives d xi / d lam = (g / alpha) / P'(xi).
+    """
     d = derive(params, state)
     a, b = params.alpha, params.beta
-
-    def jprime(r):
-        r = np.asarray(r, dtype=float)
-        g = np.exp(-np.exp(-2.0 * b * r) * d.y)
-        xi = p_inverse(g * lam / a, a)
-        return np.exp(a * xi) / (a * (a * xi - 2.0)) * g / a
-
-    jp = fixed_quad(jprime, 0.0, params.horizon, panels=panels)
-    h = h_eval(params, state, lam, panels=panels)
-    return (h + lam) * a * b * jp - 1.0
+    nodes, weights = panel_nodes(0.0, params.horizon, panels, 16)
+    g = np.exp(-np.exp(-2.0 * b * nodes) * d.y)
+    xi = p_inverse(g * lam / a, a)
+    dxi = (g / a) / (-a * np.exp(-a * xi) * (2.0 - a * xi))
+    e = a * math.exp(a * b * float(np.dot(weights, xi)) - a * state.holdings + d.z - d.y)
+    return e - lam, e * a * b * float(np.dot(weights, dxi)) - 1.0
 
 
 def solve_lambda_star(params: ModelParams, state: MarketState,
@@ -184,7 +162,8 @@ def solve_lambda_star(params: ModelParams, state: MarketState,
     (including zero, for round-trip analysis) and grows the bracket by
     doubling until H changes sign; monotonicity makes that terminate.
     A caller sweeping nearby instances can pass bracket_hint to skip the
-    wide initial bracket; it is validated and ignored if stale.
+    wide initial bracket; it is validated and ignored if stale. Inside the
+    bracket, find_root runs Newton on H and its analytic slope.
     """
     d = derive(params, state)
     a = params.alpha
@@ -197,8 +176,8 @@ def solve_lambda_star(params: ModelParams, state: MarketState,
                 f"closed form requires phi > max(z, 1+beta)/alpha; regime is {regime.value}")
 
     hi = a * math.exp(-d.y)
-    # pin the quadrature resolution once so every bisection step sees the
-    # same discretization of the xi integral
+    # pin the quadrature resolution once so every iterate sees the same
+    # discretization of the xi integral
     _, panels = adaptive_quad(lambda r: xi_star(params, state, 0.5 * hi, r),
                               0.0, params.horizon, rel_tol=1e-13, abs_tol=1e-15,
                               return_panels=True)
@@ -208,8 +187,8 @@ def solve_lambda_star(params: ModelParams, state: MarketState,
     bracket = None
     if bracket_hint is not None:
         lo_h, hi_h = max(bracket_hint[0], 0.0), bracket_hint[1]
-        if hi_h > lo_h and h(hi_h) <= 0.0 <= h(lo_h):
-            bracket = (lo_h, hi_h)
+        if hi_h > lo_h and (f_hi := h(hi_h)) <= 0.0 <= (f_lo := h(lo_h)):
+            bracket = (lo_h, hi_h, f_lo, f_hi)
     if bracket is None:
         f_hi = h(hi)
         if extended:
@@ -222,23 +201,12 @@ def solve_lambda_star(params: ModelParams, state: MarketState,
                     raise NumericalError("no sign change found for the multiplier equation")
         elif f_hi > 0.0:
             raise NumericalError("expected sign change on (0, alpha e^{-y}) not found")
-        bracket = (0.0, hi)
+        bracket = (0.0, hi, h(0.0), f_hi)
 
-    lo_b, hi_b = bracket
-    for _ in range(80):
-        mid = 0.5 * (lo_b + hi_b)
-        if h(mid) > 0.0:
-            lo_b = mid
-        else:
-            hi_b = mid
-        if hi_b - lo_b <= 1e-6 * max(1.0, hi_b):
-            break
-
-    lam = newton_polish(h, lambda lam: _h_derivative(params, state, lam, panels),
-                        0.5 * (lo_b + hi_b), lo_b, hi_b,
-                        target=1e-13 * max(1.0, hi_b))
+    lam = find_root(lambda lam: _h_with_slope(params, state, lam, panels), *bracket,
+                    xtol=1e-15 * max(1.0, bracket[1]))
     resid = abs(h(lam))
-    if resid > tol * max(1.0, lam):
+    if not resid <= tol * max(1.0, lam):
         raise NumericalError(f"multiplier residual {resid:.3e} above tolerance {tol:.1e}")
     return float(lam)
 
@@ -304,7 +272,7 @@ def value(params: ModelParams, state: MarketState, tol: float = 1e-10) -> float:
             f"z = {d0.z:.6g} <= 2y = {2.0 * d0.y:.6g}: no closed-form value "
             "outside the standing assumption z > 2y")
     if regime is Regime.SMALL_HOLDINGS:
-        return state.cash + state.price * _bf(state.holdings, a)
+        return state.cash + state.price * block_factor(state.holdings, a)
     if regime is Regime.ZERO_VOL:
         return zero_vol.solve(params, state).value
     if regime is Regime.GAP:
@@ -317,7 +285,7 @@ def value(params: ModelParams, state: MarketState, tol: float = 1e-10) -> float:
                 "gap-regime fallback: the stationary allocation leaves the "
                 "admissible set; no value available")
         resid = float(np.max(np.abs(discrete.gradient(params, state, psi, n) - lam)))
-        if resid > 1e-8 * max(1.0, lam):
+        if not resid <= 1e-8 * max(1.0, lam):
             raise NumericalError(
                 f"gap-regime fallback stationarity residual {resid:.3e} too large")
         return discrete.discrete_value(params, state, psi, n)
@@ -351,10 +319,10 @@ def value_block_form(params: ModelParams, state: MarketState, lam: float, p_star
 
     grad = adaptive_quad(kernel, 0.0, t, rel_tol=1e-13, abs_tol=1e-15)
     eta_t = float(eta_star(params, state, lam, t))
-    v = s * _bf(p_star, a)
+    v = s * block_factor(p_star, a)
     v += s * (math.exp(-a * p_star) - math.exp(-a * eta_t)) / a
     v += s * b * math.exp(d.y - d.z) * grad
-    v += s * math.exp(-a * eta_t) * _bf(q_star, a)
+    v += s * math.exp(-a * eta_t) * block_factor(q_star, a)
     return state.cash + v
 
 
@@ -378,10 +346,6 @@ def value_flow_form(params: ModelParams, state: MarketState, lam: float) -> floa
     grad = adaptive_quad(kernel, 0.0, t, rel_tol=1e-13, abs_tol=1e-15)
     v = (state.price / a) * (1.0 - math.exp(-a * state.holdings + a * b * j))
     return state.cash + v + b * grad
-
-
-def _bf(p: float, alpha: float) -> float:
-    return p if alpha == 0.0 else -math.expm1(-alpha * p) / alpha
 
 
 def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
@@ -432,7 +396,7 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
         price = math.exp(params.fundamental_log + d.y) * np.exp(
             decay * d.z - decay2 * d.y - a * phi)
         strategy = assemble_optimal(phi, zeta[:-1], 0.0, t)
-        val = state.cash + s * _bf(phi, a)
+        val = state.cash + s * block_factor(phi, a)
         return ContinuousSchedule(
             regime=regime, lambda_star=None, p_star=phi, q_star=0.0,
             times=times, xi=xi, eta=eta, zeta=zeta, expected_price=price,

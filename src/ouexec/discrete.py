@@ -28,7 +28,7 @@ import numpy as np
 from . import continuous
 from .errors import ConfigError, NumericalError, ResolutionError
 from .model import MarketState, ModelParams, derive
-from .numerics import bisect_vec
+from .numerics import bisect_vec, find_root
 
 
 def periods(params: ModelParams, n: int) -> tuple[int, float]:
@@ -53,10 +53,6 @@ def periods(params: ModelParams, n: int) -> tuple[int, float]:
     return m, math.exp(-params.beta / n)
 
 
-def _y(params: ModelParams) -> float:
-    return params.sigma ** 2 / (4.0 * params.beta)
-
-
 def objective(params: ModelParams, state: MarketState, x, n: int) -> float:
     """Discrete proceeds maximand (in units of e^{F+y}, times alpha).
 
@@ -70,7 +66,7 @@ def objective(params: ModelParams, state: MarketState, x, n: int) -> float:
     if x.shape != (m,):
         raise ConfigError(f"allocation must have {m} entries for n={n}")
     d = derive(params, state)
-    a, y = params.alpha, _y(params)
+    a, y = params.alpha, params.y
     ck = c ** np.arange(m)
     acc = np.empty(m)  # A_k just before trade k
     run = 0.0
@@ -97,7 +93,7 @@ def discrete_value(params: ModelParams, state: MarketState, x, n: int) -> float:
     """Expected terminal cash of the allocation x."""
     if params.alpha <= 0.0:
         raise ConfigError("alpha must be positive")
-    scale = math.exp(params.fundamental_log + _y(params)) / params.alpha
+    scale = math.exp(params.fundamental_log + params.y) / params.alpha
     return state.cash + scale * objective(params, state, x, n)
 
 
@@ -108,7 +104,7 @@ def gradient(params: ModelParams, state: MarketState, x, n: int) -> np.ndarray:
     if x.shape != (m,):
         raise ConfigError(f"allocation must have {m} entries for n={n}")
     d = derive(params, state)
-    a, y = params.alpha, _y(params)
+    a, y = params.alpha, params.y
 
     acc = np.empty(m)  # A_k
     run = 0.0
@@ -130,7 +126,7 @@ def gradient(params: ModelParams, state: MarketState, x, n: int) -> np.ndarray:
 def fnk_eval(params: ModelParams, n: int, k, x):
     """Per-period price response F^n_k, the discrete analogue of P."""
     _, c = periods(params, n)
-    a, y = params.alpha, _y(params)
+    a, y = params.alpha, params.y
     if a <= 0.0:
         raise ConfigError("alpha must be positive")
     k = np.asarray(k)
@@ -142,7 +138,7 @@ def fnk_eval(params: ModelParams, n: int, k, x):
 
 def _fnk_derivative(params, n, k, x):
     _, c = periods(params, n)
-    a, y = params.alpha, _y(params)
+    a, y = params.alpha, params.y
     g = c ** (2 * np.asarray(k)) * (1.0 - c * c) * y
     return (-a * np.exp(-a * x) + a * c * c * np.exp(-a * c * x + g)) / (1.0 - c)
 
@@ -150,7 +146,7 @@ def _fnk_derivative(params, n, k, x):
 def fnk_zero(params: ModelParams, n: int, k):
     """Right endpoint of the domain on which F^n_k is inverted (F = 0 there)."""
     _, c = periods(params, n)
-    a, y = params.alpha, _y(params)
+    a, y = params.alpha, params.y
     k = np.asarray(k)
     g = c ** (2 * k) * (1.0 - c * c) * y
     out = -(math.log(c) + g) / (a * (1.0 - c))
@@ -190,7 +186,7 @@ def fnk_inverse(params: ModelParams, n: int, k, q):
         x = np.clip(x - r / _fnk_derivative(params, n, k, x), lo, hi)
 
     resid = np.abs(fnk_eval(params, n, k, x) - q)
-    if np.any(resid > 1e-12 * np.maximum(1.0, q)):
+    if not np.all(resid <= 1e-12 * np.maximum(1.0, q)):
         raise NumericalError("per-period response inversion did not converge")
     return float(x[0]) if scalar else x
 
@@ -198,7 +194,7 @@ def fnk_inverse(params: ModelParams, n: int, k, q):
 def _finv_all(params: ModelParams, state: MarketState, n: int, lam: float) -> np.ndarray:
     """fnk_inverse(k, e^{c^{2k} y} lam / alpha) for k = 0 .. m-2, vectorized."""
     m, c = periods(params, n)
-    a, y = params.alpha, _y(params)
+    a, y = params.alpha, params.y
     ks = np.arange(m - 1)
     qs = np.exp(c ** (2 * ks) * y) * lam / a
     return fnk_inverse(params, n, ks, qs)
@@ -206,14 +202,29 @@ def _finv_all(params: ModelParams, state: MarketState, n: int, lam: float) -> np
 
 def hn_eval(params: ModelParams, state: MarketState, lam: float, n: int) -> float:
     """Discrete multiplier equation; strictly decreasing with hn_eval(0) > 0."""
-    m, c = periods(params, n)
-    d = derive(params, state)
-    a, y = params.alpha, _y(params)
     if lam < 0.0:
         raise ConfigError("the multiplier is nonnegative")
-    inner = (1.0 - c) * float(np.sum(_finv_all(params, state, n, lam))) if m > 1 else 0.0
+    return _hn_with_slope(params, state, lam, n)[0]
+
+
+def _hn_with_slope(params: ModelParams, state: MarketState, lam: float,
+                   n: int) -> tuple[float, float]:
+    """hn_eval(lam) and its slope, from one pass of response inverses.
+
+    x_k = fnk_inverse(k, q_k) with q_k = e^{c^{2k} y} lam / alpha, so
+    d x_k / d lam = (q_k / lam) / F'(x_k).
+    """
+    m, c = periods(params, n)
+    d = derive(params, state)
+    a, y = params.alpha, params.y
+    ks = np.arange(m - 1)
+    finv = _finv_all(params, state, n, lam) if m > 1 else np.zeros(0)
+    inner = (1.0 - c) * float(np.sum(finv))
     expo = a * inner - a * state.holdings + d.z - c ** (2 * (m - 1)) * y
-    return a * math.exp(expo) - lam
+    e = a * math.exp(expo)
+    dq = np.exp(c ** (2 * ks) * y) / a
+    slope = a * (1.0 - c) * float(np.sum(dq / _fnk_derivative(params, n, ks, finv)))
+    return e - lam, e * slope - 1.0
 
 
 def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
@@ -229,7 +240,7 @@ def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
     """
     m, c = periods(params, n)
     d = derive(params, state)
-    a, y = params.alpha, _y(params)
+    a, y = params.alpha, params.y
     if m == 1:
         return a * math.exp(-a * state.holdings + d.z - y)
 
@@ -238,38 +249,28 @@ def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
         if lambda_ref is None:
             lambda_ref = continuous.solve_lambda_star(params, state)
         hi = 2.0 * lambda_ref
-        if h(hi) > 0.0:
+        f_hi = h(hi)
+        if f_hi > 0.0:
             raise ResolutionError(
                 f"n={n} is too small: no multiplier in (0, 2 lambda*) for this instance")
     elif bracket == "expand":
         hi = a * math.exp(-y)
+        f_hi = h(hi)
         doublings = 0
-        while h(hi) > 0.0:
+        while f_hi > 0.0:
             hi *= 2.0
+            f_hi = h(hi)
             doublings += 1
             if doublings > 200:
                 raise NumericalError("no sign change found for the discrete multiplier")
     else:
         raise ConfigError(f"unknown bracket mode {bracket!r}")
 
-    lo, hi_b = 0.0, hi
-    for _ in range(90):
-        mid = 0.5 * (lo + hi_b)
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi_b = mid
-        if hi_b - lo <= 1e-16 * max(1.0, hi_b):
-            break
-    lam = 0.5 * (lo + hi_b)
-    # one safeguarded secant pass to polish within the final bracket
-    f_lo, f_hi = h(lo), h(hi_b)
-    if f_lo != f_hi:
-        cand = lo - f_lo * (hi_b - lo) / (f_hi - f_lo)
-        if lo <= cand <= hi_b and abs(h(cand)) < abs(h(lam)):
-            lam = cand
+    lam = find_root(lambda lam: _hn_with_slope(params, state, lam, n), 0.0, hi,
+                    _hn_with_slope(params, state, 0.0, n)[0], f_hi,
+                    xtol=1e-16 * max(1.0, hi))
     resid = abs(h(lam))
-    if resid > tol * max(1.0, lam):
+    if not resid <= tol * max(1.0, lam):
         raise NumericalError(f"discrete multiplier residual {resid:.3e} above {tol:.1e}")
     return float(lam)
 
@@ -299,7 +300,7 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float,
         psi[m - 1] = phi - tail - finv[m - 2] - d.z / a
     if check:
         resid = float(np.max(np.abs(gradient(params, state, psi, n) - lam)))
-        if resid > check_tol * max(1.0, abs(lam)):
+        if not resid <= check_tol * max(1.0, abs(lam)):
             raise NumericalError(
                 f"stationarity residual {resid:.3e} above {check_tol:.1e}; "
                 "the recovered allocation is not a critical point")
@@ -319,7 +320,7 @@ def brute_force(params: ModelParams, state: MarketState, n: int,
     if m > 4:
         raise ConfigError("exhaustive search is limited to four periods")
     d = derive(params, state)
-    a, y = params.alpha, _y(params)
+    a, y = params.alpha, params.y
     phi = state.holdings
     if phi < 0.0:
         raise ConfigError("holdings must be nonnegative")

@@ -29,7 +29,7 @@ import numpy as np
 from . import continuous
 from .errors import ConfigError
 from .model import MarketState, ModelParams, derive
-from .numerics import adaptive_quad
+from .numerics import adaptive_quad, find_root
 from .proceeds import expected_proceeds
 
 
@@ -45,19 +45,27 @@ def l_eval(z, beta: float = 1.0, horizon: float = 1.0):
 
 def l_root(beta: float = 1.0, horizon: float = 1.0, lo: float = 1e-6,
            hi: float = 50.0) -> float:
-    """Smallest positive root of L by bisection (L < 0 at 0+, L -> 1)."""
+    """Smallest positive root of L (L < 0 at 0+, L -> 1).
+
+    Newton on L with its closed-form slope
+
+        L'(z) = (beta t - 1 + beta t z / (1 + beta t)) exp(-beta t z / (1 + beta t))
+                - beta t e^{-z-1},
+
+    kept inside the sign-change bracket [lo, hi] by find_root. The root is
+    of order one, so the step tolerance is absolute.
+    """
     f_lo, f_hi = l_eval(lo, beta, horizon), l_eval(hi, beta, horizon)
     if not (f_lo < 0.0 < f_hi):
         raise ConfigError("root not bracketed; widen [lo, hi]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if l_eval(mid, beta, horizon) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    bt = beta * horizon
+
+    def ldl(z):
+        slope = ((bt - 1.0 + bt * z / (1.0 + bt)) * math.exp(-bt * z / (1.0 + bt))
+                 - bt * math.exp(-z - 1.0))
+        return l_eval(z, beta, horizon), slope
+
+    return find_root(ldl, lo, hi, f_lo, f_hi, xtol=1e-13)
 
 
 def extended_schedule(params: ModelParams, state: MarketState,

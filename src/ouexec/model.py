@@ -50,6 +50,11 @@ class ModelParams:
         if not math.isfinite(self.fundamental_log):
             raise ConfigError("fundamental_log must be finite")
 
+    @property
+    def y(self) -> float:
+        """y = sigma^2 / (4 beta), the variance scale of the stationary log price."""
+        return self.sigma * self.sigma / (4.0 * self.beta)
+
 
 @dataclass(frozen=True)
 class MarketState:
@@ -85,9 +90,15 @@ class Regime(enum.Enum):
 
 def derive(params: ModelParams, state: MarketState) -> DerivedQuantities:
     """Compute (y, z) for an instance. Pure and deterministic."""
-    y = params.sigma * params.sigma / (4.0 * params.beta)
-    z = math.log(state.price) - params.fundamental_log
-    return DerivedQuantities(y=y, z=z)
+    return DerivedQuantities(y=params.y, z=math.log(state.price) - params.fundamental_log)
+
+
+def block_factor(p: float, alpha: float) -> float:
+    """Proceeds per unit of pre-trade price of a block sale of p shares.
+
+    (1 - e^{-alpha p}) / alpha, with its alpha -> 0 limit p.
+    """
+    return p if alpha == 0.0 else -math.expm1(-alpha * p) / alpha
 
 
 def classify(params: ModelParams, state: MarketState) -> Regime:

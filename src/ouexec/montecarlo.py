@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import MarketState, ModelParams, derive
+from .model import MarketState, ModelParams, block_factor, derive
 from .numerics import gl_nodes
 from .strategy import ExecutionStrategy
 
@@ -42,12 +42,6 @@ class SimulationReport:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _block_factor(p: float, alpha: float) -> float:
-    if alpha == 0.0:
-        return p
-    return -math.expm1(-alpha * p) / alpha
 
 
 def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrategy,
@@ -98,12 +92,12 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
     dens = np.asarray(strategy.density)
 
     x = np.full(n_paths, fund + d.z)
-    cash = np.full(n_paths, state.cash)
+    cash = np.full(n_paths, state.cash, dtype=float)
 
     for j in range(steps):
         p_here = boundary_blocks.get(j)
         if p_here:
-            cash += np.exp(x) * _block_factor(p_here, a)
+            cash += np.exp(x) * block_factor(p_here, a)
             x -= a * p_here
         zeta = float(dens[cell_of_step[j]])
         if zeta != 0.0:
@@ -118,7 +112,7 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
 
     p_end = boundary_blocks.get(steps)
     if p_end:
-        cash += np.exp(x) * _block_factor(p_end, a)
+        cash += np.exp(x) * block_factor(p_end, a)
 
     mean = float(np.mean(cash))
     se = 0.0 if n_paths == 1 else float(np.std(cash, ddof=1) / math.sqrt(n_paths))
@@ -147,9 +141,9 @@ def simulate_discrete(params: ModelParams, state: MarketState, x_alloc, n: int,
         (1.0 - c * c) / (2.0 * params.beta))
 
     x = np.full(n_paths, fund + d.z)
-    cash = np.full(n_paths, state.cash)
+    cash = np.full(n_paths, state.cash, dtype=float)
     for k in range(m):
-        cash += np.exp(x) * _block_factor(float(x_alloc[k]), a)
+        cash += np.exp(x) * block_factor(float(x_alloc[k]), a)
         if deterministic:
             x = c * (x - a * x_alloc[k]) + (1.0 - c) * fund
         else:

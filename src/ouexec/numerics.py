@@ -1,19 +1,23 @@
-"""Quadrature and root-finding kernels used by the solvers.
+"""Lambert W, quadrature and root-finding kernels used by the solvers.
 
 Gauss-Legendre nodes come from numpy; the integrands in this package are
 smooth inside each panel, so composite rules converge fast and the adaptive
 driver just doubles the panel count until two successive estimates agree.
-Root finding is bracketed bisection followed by a safeguarded Newton polish,
-which stays robust when the derivative degenerates at a bracket endpoint.
+The two equations with exact solutions (the price-response inverse and
+the zero-volatility block) go through lambert_w0. Every other scalar root
+is found by find_root, a Newton iteration that falls back to bisection
+whenever a step would leave the shrinking sign-change bracket; bisect_vec
+inverts the discrete per-period responses elementwise.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -67,57 +71,6 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     raise NumericalError(f"quadrature did not settle within {max_panels} panels")
 
 
-def bisect(f: Callable[[float], float], lo: float, hi: float,
-           width: float = 1e-8, max_iter: int = 200,
-           f_lo: Optional[float] = None, f_hi: Optional[float] = None) -> tuple[float, float]:
-    """Shrink a sign-changing bracket [lo, hi] to the given width."""
-    f_lo = f(lo) if f_lo is None else f_lo
-    f_hi = f(hi) if f_hi is None else f_hi
-    if f_lo == 0.0:
-        return lo, lo
-    if f_hi == 0.0:
-        return hi, hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise NumericalError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        if hi - lo <= width:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid, mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return lo, hi
-
-
-def newton_polish(f: Callable[[float], float], df: Callable[[float], float],
-                  x0: float, lo: float, hi: float,
-                  target: float = 1e-13, max_iter: int = 30) -> float:
-    """Newton iterations confined to [lo, hi], keeping the best residual."""
-    x = x0
-    best_x, best_r = x, abs(f(x))
-    for _ in range(max_iter):
-        r = f(x)
-        if abs(r) < best_r:
-            best_x, best_r = x, abs(r)
-        if abs(r) <= target:
-            return x
-        d = df(x)
-        if d == 0.0 or not np.isfinite(d):
-            break
-        step = r / d
-        x_new = x - step
-        if not (lo <= x_new <= hi):
-            x_new = 0.5 * (x + (hi if x_new > hi else lo))
-        if x_new == x:
-            break
-        x = x_new
-    return best_x
-
-
 def bisect_vec(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
                iters: int = 80) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise bisection; requires sign(f(lo)) != sign(f(hi)) per element.
@@ -137,18 +90,89 @@ def bisect_vec(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
     return lo, hi
 
 
-def expand_below(f: Callable[[np.ndarray], np.ndarray], hi: np.ndarray,
-                 target: np.ndarray, step0: float = 1.0,
-                 max_doublings: int = 120) -> np.ndarray:
-    """Find lo <= hi with f(lo) >= target elementwise, for f decreasing in x."""
-    hi = np.asarray(hi, dtype=float)
-    target = np.asarray(target, dtype=float)
-    step = np.full(np.broadcast(hi, target).shape, float(step0))
-    lo = hi - step
-    for _ in range(max_doublings):
-        short = np.asarray(f(lo), dtype=float) < target
-        if not np.any(short):
-            return lo
-        step = np.where(short, step * 2.0, step)
-        lo = np.where(short, hi - step, lo)
-    raise NumericalError("bracket expansion failed")
+def lambert_w0(x):
+    """Principal branch W0 of the Lambert W function, w e^w = x, for x >= -1/e.
+
+    Halley iterations (Corless et al., Adv. Comput. Math. 5, 1996) on
+    w - x e^{-w}, the usual residual w e^w - x scaled by e^{-w} so nothing
+    overflows, started from the branch-point series near -1/e, from
+    log(1 + x) in the middle and from log x - log log x above e.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -math.exp(-1.0) - 1e-15):
+        raise ConfigError("W0 is real only for x >= -1/e")
+    x = np.maximum(x, -math.exp(-1.0))
+    near, far = x < -0.25, x > math.e
+    mid = ~(near | far)
+    w = np.empty_like(x)
+    p = np.sqrt(np.maximum(2.0 * (math.e * x[near] + 1.0), 0.0))
+    w[near] = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    w[mid] = np.log1p(x[mid])
+    l1 = np.log(x[far])
+    l2 = np.log(l1)
+    w[far] = l1 - l2 + l2 / l1
+    for _ in range(12):
+        f = w - x * np.exp(-w)
+        wp1 = w + 1.0
+        den = 2.0 * wp1 * wp1 - (w + 2.0) * f
+        step = np.divide(2.0 * wp1 * f, den, out=np.zeros_like(w), where=den != 0.0)
+        w = np.maximum(w - step, -1.0)
+        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(w))):
+            break
+    return float(w) if w.ndim == 0 else w
+
+
+def lambert_w0_exp(log_x: float) -> float:
+    """W0(e^log_x), also where e^log_x is beyond the float range.
+
+    Below log_x = 700 this is lambert_w0(e^log_x). Above, W0 solves
+    w + log w = log_x; Newton from log_x - log log_x is off by less than
+    1e-2 there and four steps reach rounding.
+    """
+    if log_x < 700.0:
+        return float(lambert_w0(math.exp(log_x)))
+    w = log_x - math.log(log_x)
+    for _ in range(4):
+        w -= (w + math.log(w) - log_x) * w / (w + 1.0)
+    return w
+
+
+def find_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: float,
+              f_lo: float, f_hi: float, xtol: float) -> float:
+    """Root of f on a bracket [lo, hi] over which f changes sign.
+
+    fdf(x) returns f(x) and f'(x); f_lo and f_hi are f at the endpoints.
+    The first point is the secant point of the bracket. Each evaluated
+    point replaces the endpoint with the same sign, and the next point is
+    the Newton step from it, or the bracket midpoint when that step would
+    leave the bracket or is not at most half the previous step. Returns
+    a point where f is exactly zero, or the first point reached by a step
+    of at most xtol; stopping on the step rather than on |f| lets Newton
+    run down to the noise floor of f.
+    """
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if np.sign(f_lo) == np.sign(f_hi):
+        raise NumericalError(f"no sign change on [{lo}, {hi}]")
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    last = hi - lo
+    for _ in range(100):
+        f, df = fdf(x)
+        if f == 0.0:
+            return x
+        if np.sign(f) == np.sign(f_lo):
+            lo = x
+        else:
+            hi = x
+        new = x - f / df if df != 0.0 else math.nan
+        if not (lo < new < hi and abs(new - x) <= 0.5 * last):
+            new = 0.5 * (lo + hi)
+        last = abs(new - x)
+        x = new
+        if last <= xtol:
+            return x
+    raise NumericalError(f"no root to within {xtol:.1e} after 100 iterations")

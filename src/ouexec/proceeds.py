@@ -22,7 +22,7 @@ import numpy as np
 
 from . import strategy as strat
 from .errors import ConfigError
-from .model import MarketState, ModelParams, derive
+from .model import MarketState, ModelParams, block_factor, derive
 from .numerics import gl_nodes
 
 _TOL = 1e-12
@@ -36,13 +36,6 @@ class ProceedsBreakdown:
     gradual_value: float
     terminal_block_value: float
     total: float
-
-
-def _block_factor(p: float, alpha: float) -> float:
-    # (1 - exp(-alpha*p))/alpha, with the alpha -> 0 limit p
-    if alpha == 0.0:
-        return p
-    return -math.expm1(-alpha * p) / alpha
 
 
 def _scan(params: ModelParams, state: MarketState, strategy: strat.ExecutionStrategy,
@@ -78,7 +71,7 @@ def _scan(params: ModelParams, state: MarketState, strategy: strat.ExecutionStra
         while imp_idx < len(imps) and imps[imp_idx][0] <= upto + _TOL:
             r, p = imps[imp_idx]
             slot = 0 if r <= _TOL else (2 if r >= t - _TOL else 1)
-            parts[slot] += float(price(r, d)) * _block_factor(p, alpha)
+            parts[slot] += float(price(r, d)) * block_factor(p, alpha)
             d += alpha * p
             imp_idx += 1
 

@@ -5,12 +5,17 @@ the optimal selling rate is constant: an initial block p*, a flat rate
 zeta* = beta (p* - z/alpha), and a terminal block q*. p* solves the
 strictly increasing scalar equation
 
-    C(p) = exp(alpha (1 + beta t) p - alpha phi - beta t z) + alpha p - z - 1 = 0
+    C(p) = exp(alpha (1 + beta t) p - alpha phi - beta t z) + alpha p - z - 1 = 0.
 
-on the bracket [z/alpha, (alpha phi + beta t z) / (alpha (1 + beta t))]:
-the left endpoint is where the flat rate would vanish, the right endpoint
-is where the terminal block would, and C changes sign between them
-whenever phi > z/alpha.
+With k = 1 + beta t and u = z + 1 - alpha p it reads
+(k u) e^{k u} = k e^{k + z - alpha phi}, so
+
+    p* = (z + 1 - W0(k e^{k + z - alpha phi}) / k) / alpha
+
+on the principal branch of Lambert W. Whenever phi > z/alpha the exponent
+stays below k, so W0 of the argument lies in (0, k) and alpha p* lies in
+(z, z + 1). For beta t beyond about 700 the argument itself overflows a
+float, so W0 is taken from its logarithm log k + k + z - alpha phi.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, NumericalError, RegimeError
 from .model import MarketState, ModelParams, derive
-from .numerics import newton_polish
+from .numerics import lambert_w0_exp
 
 
 @dataclass(frozen=True)
@@ -52,26 +57,20 @@ def solve(params: ModelParams, state: MarketState, tol: float = 1e-12) -> ZeroVo
     if phi <= d.z / a:
         raise RegimeError("requires phi > z/alpha; smaller holdings sell in one block")
 
-    lo = d.z / a
-    hi = (a * phi + b * t * d.z) / (a * (1.0 + b * t))
+    k = 1.0 + b * t
+    w = lambert_w0_exp(math.log(k) + k + d.z - a * phi)
+    # 1 - w/k in (0, 1) is added to z last, so rounding keeps alpha p* in [z, z + 1]
+    p_star = (d.z + max(1.0 - w / k, 0.0)) / a
     c = lambda p: c_eval(params, state, p)
-    dc = lambda p: a * (1.0 + b * t) * math.exp(
-        a * (1.0 + b * t) * p - a * phi - b * t * d.z) + a
-
-    f_lo, f_hi = c(lo), c(hi)
-    if not (f_lo < 0.0 < f_hi):
-        raise NumericalError("bracket endpoints did not straddle the root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if c(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    p_star = newton_polish(c, dc, 0.5 * (lo + hi), lo, hi, target=1e-15)
-    if abs(c(p_star)) > tol:
-        raise NumericalError(f"block-size residual {abs(c(p_star)):.3e} above {tol:.1e}")
+    if not abs(c(p_star)) <= tol:
+        # p* is within a few ulps of the root, but for large beta t one ulp
+        # of p moves the computed C by about tol: take the nearby float at
+        # which the computed C is smallest
+        near = [p_star + j * math.ulp(p_star) for j in range(-16, 17)]
+        p_star = min((p for p in near if p >= d.z / a), key=lambda p: abs(c(p)))
+    resid = abs(c(p_star))
+    if not resid <= tol:
+        raise NumericalError(f"block-size residual {resid:.3e} above {tol:.1e}")
 
     zeta = b * (p_star - d.z / a)
     q_star = phi - p_star - t * zeta

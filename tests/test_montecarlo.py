@@ -87,3 +87,17 @@ def test_discrete_simulation_sigma_zero_exact(zv_params, ref_state):
     target = discrete_value(zv_params, ref_state, psi, 3)
     assert abs(rep.mean_cash - target) <= 1e-12 * max(1.0, abs(target))
     assert rep.std_error == 0.0
+
+
+def test_integer_cash_is_accepted(ou_params, zv_params):
+    # cash=0 (a Python int) must not fix the accumulator's dtype to int64
+    state = MarketState(cash=0, holdings=3.0, price=math.e)
+    strat = assemble_optimal(1.0, np.full(10, 1.0), 1.0, 1.0)
+    rep = simulate(ou_params, state, strat, paths=200, steps=100, seed=0)
+    assert math.isfinite(rep.mean_cash) and rep.mean_cash > 0.0
+    exact = simulate(zv_params, state, strat, paths=1, steps=100, seed=0)
+    assert exact.mean_cash == pytest.approx(
+        expected_proceeds(zv_params, state, strat), rel=1e-9)
+    disc = simulate_discrete(ou_params, state, np.array([1.0, 1.0, 1.0]), 3,
+                             paths=200, seed=0)
+    assert math.isfinite(disc.mean_cash) and disc.mean_cash > 0.0

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
-from ouexec import MarketState, ModelParams, RegimeError, expected_proceeds
+from ouexec import (ConfigError, MarketState, ModelParams, NumericalError,
+                    RegimeError, expected_proceeds)
 from ouexec.strategy import assemble_optimal
 from ouexec.zero_vol import c_eval, solve
 
@@ -65,3 +66,38 @@ def test_random_instances_conserve_and_satisfy_stationarity(alpha, beta, t, z, e
     assert sol.zeta_star == pytest.approx(beta * (sol.p_star - z / alpha), rel=1e-12)
     assert sol.p_star >= z / alpha - 1e-12
     assert sol.q_star >= -1e-12
+
+
+@settings(max_examples=300)
+@given(log_alpha=st.floats(-3.0, 2.0), log_beta=st.floats(-3.0, 4.0),
+       t=st.floats(1e-4, 1.0), z=st.floats(1e-6, 40.0), ratio=st.floats(0.0, 1.0))
+def test_closed_form_over_the_whole_domain(log_alpha, log_beta, t, z, ratio):
+    # phi from just above z/alpha up to 50 z/alpha and beta t up to 1e4, where
+    # the Lambert-W argument k e^{k + z - alpha phi} can overflow a float; the
+    # closed form must meet its residual bound or refuse with a typed error
+    alpha, beta = 10.0 ** log_alpha, 10.0 ** log_beta
+    params = ModelParams(alpha=alpha, beta=beta, sigma=0.0,
+                         fundamental_log=0.0, horizon=t)
+    phi = z / alpha * (1.0 + 1e-9 + 49.0 * ratio)
+    state = MarketState(cash=0.0, holdings=phi, price=math.exp(z))
+    try:
+        sol = solve(params, state)
+    except (ConfigError, RegimeError, NumericalError):
+        return
+    assert abs(c_eval(params, state, sol.p_star)) <= 1e-12
+    z = math.log(state.price)  # the z the solver sees, not the rounded draw
+    assert z / alpha <= sol.p_star <= (z + 1.0) / alpha
+    assert math.isfinite(sol.value)
+
+
+@pytest.mark.parametrize("phi", [1.0, 296.5])
+def test_large_beta_t_block_is_finite(phi):
+    # beta t = 1000: e^{k + z - alpha phi} overflows at phi = 1, and at
+    # phi = 296.5 it is finite but k times it is not
+    params = ModelParams(alpha=1.0, beta=1000.0, sigma=0.0,
+                         fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=phi, price=math.exp(0.1))
+    sol = solve(params, state)
+    assert abs(c_eval(params, state, sol.p_star)) <= 1e-12
+    assert 0.1 <= sol.p_star <= 1.1
+    assert math.isfinite(sol.value)
