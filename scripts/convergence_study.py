@@ -38,11 +38,10 @@ def main(argv=None):
     print(f"closed-form value {sched.value!r}  (p*={sched.p_star:.6f}, "
           f"q*={sched.q_star:.6f})")
 
-    lam_ref = continuous.reference_multiplier(params, state)
     print(f"{'n':>6} {'lambda_hat':>14} {'value err':>12} {'shape err':>12}")
     prev = math.inf
     for n in args.n:
-        lam = discrete.solve_lambda_hat(params, state, n, lambda_ref=lam_ref)
+        lam = discrete.solve_lambda_hat(params, state, n)
         psi = discrete.recover_psi(params, state, n, lam)
         v = discrete.discrete_value(params, state, psi, n)
         verr = abs(v - sched.value)

@@ -11,13 +11,12 @@ validation, and a round-trip (price manipulation) profitability analysis.
 """
 
 from .continuous import (ContinuousSchedule, eta_star, h_eval, p_eval, p_inverse,
-                         reference_multiplier, schedule, solve_lambda_star, value,
-                         value_block_form, value_flow_form, xi_star, zeta_star)
+                         schedule, solve_lambda_star, value, value_block_form,
+                         value_flow_form, xi_star, zeta_star)
 from .discrete import (brute_force, discrete_value, fnk_eval, fnk_inverse, fnk_zero,
                        gradient, hn_eval, objective, periods, recover_psi,
                        solve_lambda_hat)
-from .errors import (ConfigError, NumericalError, RegimeError, ResolutionError,
-                     StandingAssumptionWarning)
+from .errors import ConfigError, NumericalError, RegimeError, StandingAssumptionWarning
 from .manipulation import (ManipulationReport, RoundTripBound, extended_schedule,
                            l_eval, l_root, round_trip_profit_bound, scan)
 from .model import (DerivedQuantities, MarketState, ModelParams, Regime, classify,
@@ -36,15 +35,14 @@ __all__ = [
     "ConfigError", "ContinuousSchedule", "DeltaFamily", "DerivedQuantities",
     "ExecutionStrategy", "ManipulationReport", "MarketState", "ModelParams",
     "NumericalError", "ProceedsBreakdown", "Regime", "RegimeError",
-    "ResolutionError", "RoundTripBound", "SimulationReport",
-    "StandingAssumptionWarning", "ZeroVolSchedule", "assemble_optimal",
-    "brute_force", "c_eval", "classify", "derive", "discrete_value", "eta_star",
-    "expected_price_path", "expected_proceeds", "extended_schedule", "fnk_eval",
-    "fnk_inverse", "fnk_zero", "gradient", "h_eval", "hn_eval",
-    "impact_decay_profile", "initial_block", "l_eval", "l_root", "objective",
-    "p_eval", "p_inverse", "periods", "proceeds_breakdown", "recover_psi",
-    "reference_multiplier", "round_trip_profit_bound", "scan", "schedule",
-    "simulate", "simulate_discrete", "solve_lambda_hat", "solve_lambda_star",
-    "solve_zero_vol", "to_csv", "total_sold", "value", "value_block_form",
-    "value_flow_form", "xi_star", "zeta_star",
+    "RoundTripBound", "SimulationReport", "StandingAssumptionWarning",
+    "ZeroVolSchedule", "assemble_optimal", "brute_force", "c_eval", "classify",
+    "derive", "discrete_value", "eta_star", "expected_price_path",
+    "expected_proceeds", "extended_schedule", "fnk_eval", "fnk_inverse", "fnk_zero",
+    "gradient", "h_eval", "hn_eval", "impact_decay_profile", "initial_block",
+    "l_eval", "l_root", "objective", "p_eval", "p_inverse", "periods",
+    "proceeds_breakdown", "recover_psi", "round_trip_profit_bound", "scan",
+    "schedule", "simulate", "simulate_discrete", "solve_lambda_hat",
+    "solve_lambda_star", "solve_zero_vol", "to_csv", "total_sold", "value",
+    "value_block_form", "value_flow_form", "xi_star", "zeta_star",
 ]

@@ -157,17 +157,11 @@ def cmd_solve(params, state, opts, out_dir: Path, tol: float) -> int:
 def cmd_converge(params, state, opts, out_dir: Path, tol: float) -> int:
     n_list = opts.get("n_list", [10, 100, 1000])
     v_ref = continuous.value(params, state, tol=tol)
-    lam_ref = continuous.reference_multiplier(params, state)
     rows = []
     errs = []
     for n in n_list:
         try:
-            if lam_ref is not None:
-                lam = discrete.solve_lambda_hat(params, state, n, tol=tol,
-                                                lambda_ref=lam_ref)
-            else:
-                lam = discrete.solve_lambda_hat(params, state, n, tol=tol,
-                                                bracket="expand")
+            lam = discrete.solve_lambda_hat(params, state, n, tol=tol)
             psi = discrete.recover_psi(params, state, n, lam)
             val = discrete.discrete_value(params, state, psi, n)
             err = abs(val - v_ref)
@@ -237,11 +231,7 @@ def cmd_verify(params, state, opts, out_dir: Path, tol: float) -> int:
     detail = {"regime": regime.value, "continuous_value": v_cont}
 
     n_max = max(n_list)
-    lam_ref = continuous.reference_multiplier(params, state)
-    if lam_ref is not None:
-        lam = discrete.solve_lambda_hat(params, state, n_max, tol=tol, lambda_ref=lam_ref)
-    else:
-        lam = discrete.solve_lambda_hat(params, state, n_max, tol=tol, bracket="expand")
+    lam = discrete.solve_lambda_hat(params, state, n_max, tol=tol)
     psi = discrete.recover_psi(params, state, n_max, lam)
     v_disc = discrete.discrete_value(params, state, psi, n_max)
     rows.append(("discrete", v_disc, f"n={n_max}"))

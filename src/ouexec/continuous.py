@@ -8,10 +8,11 @@ first-order condition per unit time reads
     P(xi_r) = exp(-e^{-2 b r} y) * lambda / alpha,   P(x) = e^{-ax}(1 - ax)
 
 and lambda* is the root of a scalar equation H(lambda) = 0 obtained by
-substituting the implied schedule back into the constraint. P^{-1} is
-closed form through Lambert W, and so is d xi / d lambda; H is strictly
-decreasing with H(0) > 0, so its root is found by a bracketed Newton
-iteration on H and its analytic slope.
+substituting the implied schedule back into the constraint. H reads
+E(lambda) - lambda with E positive and decreasing, so the root lies in
+[E(E(0)), E(0)]; numerics.solve_multiplier finds it by Newton in
+log lambda inside that bracket. P^{-1} is closed form through Lambert W,
+and so is the slope of log E.
 
 xi_r is the (shifted) log of the expected price along the optimal path:
 E[S_r] = e^{F+y} exp(e^{-2 b r} y - a xi_r). The cumulative sales process
@@ -28,7 +29,8 @@ import numpy as np
 from . import zero_vol
 from .errors import ConfigError, NumericalError, RegimeError
 from .model import MarketState, ModelParams, Regime, block_factor, classify, derive
-from .numerics import adaptive_quad, find_root, lambert_w0, panel_nodes
+from .numerics import (LOG_FLOAT_MAX, adaptive_quad, lambert_w0, panel_nodes,
+                       solve_multiplier)
 from .strategy import ExecutionStrategy, assemble_optimal
 
 
@@ -118,54 +120,60 @@ def _xi_integral(params: ModelParams, state: MarketState, lam: float):
 
 def h_eval(params: ModelParams, state: MarketState, lam: float,
            panels: int | None = None) -> float:
-    """Constraint mismatch H(lam); the optimal multiplier is its unique root.
+    """Constraint mismatch H(lam) = E(lam) - lam; the optimal multiplier is its root.
 
-    H(0) = alpha * exp(beta t - alpha phi + z - y) > 0 and H is strictly
-    decreasing, with slope <= -1 everywhere.
+    E(lam) = alpha exp(alpha beta int_0^t xi*_r dr - alpha phi + z - y) is
+    positive and decreasing, with E(0) = alpha exp(beta t - alpha phi + z - y),
+    so H has slope <= -1. The xi integral runs on `panels` Gauss-Legendre
+    panels of order 16, by default as many as the adaptive rule needs.
     """
-    d = derive(params, state)
-    a = params.alpha
-    if a <= 0.0:
+    if params.alpha <= 0.0:
         raise ConfigError("alpha must be positive")
     if lam < 0.0:
         raise ConfigError("the multiplier is nonnegative")
-    if panels is not None:
-        return _h_with_slope(params, state, lam, panels)[0]
-    j = _xi_integral(params, state, lam)
-    return a * math.exp(a * params.beta * j - a * state.holdings + d.z - d.y) - lam
+    log_e = _log_e_with_slope(params, state, lam, panels or _panels(params, state, lam))[0]
+    if not log_e <= LOG_FLOAT_MAX:
+        raise NumericalError(f"H({lam:.6g}) is beyond the float range: log E = {log_e:.6g}")
+    return math.exp(log_e) - lam
 
 
-def _h_with_slope(params: ModelParams, state: MarketState, lam: float,
-                  panels: int) -> tuple[float, float]:
-    """H(lam) on `panels` Gauss-Legendre panels of order 16, and dH/dlam.
+def _panels(params: ModelParams, state: MarketState, lam: float) -> int:
+    """Panel count (at least 8) at which the adaptive xi integral settles for lam."""
+    _, panels = adaptive_quad(lambda r: xi_star(params, state, lam, r), 0.0, params.horizon,
+                              rel_tol=1e-13, abs_tol=1e-15, return_panels=True)
+    return max(panels, 8)
 
-    Both come from one inversion on the quadrature nodes: differentiating
-    P(xi) = g lam / alpha gives d xi / d lam = (g / alpha) / P'(xi).
+
+def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
+                      panels: int) -> tuple[float, float]:
+    """log E(lam) on `panels` Gauss-Legendre panels of order 16, and d log E / d log lam.
+
+    Both come from one inversion on the quadrature nodes: with
+    w = 1 - alpha xi = W0(e q), differentiating P(xi) = q = g lam / alpha
+    gives lam d xi / d lam = P(xi) / P'(xi) = -w / (alpha (1 + w)).
     """
     d = derive(params, state)
     a, b = params.alpha, params.beta
     nodes, weights = panel_nodes(0.0, params.horizon, panels, 16)
     g = np.exp(-np.exp(-2.0 * b * nodes) * d.y)
     xi = p_inverse(g * lam / a, a)
-    dxi = (g / a) / (-a * np.exp(-a * xi) * (2.0 - a * xi))
-    e = a * math.exp(a * b * float(np.dot(weights, xi)) - a * state.holdings + d.z - d.y)
-    return e - lam, e * a * b * float(np.dot(weights, dxi)) - 1.0
+    w = 1.0 - a * xi
+    j = float(np.dot(weights, xi))
+    log_e = math.log(a) + a * b * j - a * state.holdings + d.z - d.y
+    return log_e, -b * float(np.dot(weights, w / (1.0 + w)))
 
 
 def solve_lambda_star(params: ModelParams, state: MarketState,
-                      tol: float = 1e-10, extended: bool = False,
-                      bracket_hint: tuple[float, float] | None = None) -> float:
+                      tol: float = 1e-10, extended: bool = False) -> float:
     """Root of H.
 
-    Standard mode requires phi > max(z, 1 + beta)/alpha, which guarantees
-    the root lies in (0, alpha e^{-y}). Extended mode accepts any phi
-    (including zero, for round-trip analysis) and grows the bracket by
-    doubling until H changes sign; monotonicity makes that terminate.
-    A caller sweeping nearby instances can pass bracket_hint to skip the
-    wide initial bracket; it is validated and ignored if stale. Inside the
-    bracket, find_root runs Newton on H and its analytic slope.
+    Standard mode requires phi > max(z, 1 + beta)/alpha; extended mode
+    accepts any phi (including zero, for round-trip analysis). The xi
+    quadrature is pinned once, at the panel count the adaptive rule needs
+    for lambda = alpha e^{-y} / 2, so every iterate sees the same
+    discretization; solve_multiplier then finds the root, and the result
+    must leave |H| <= tol max(1, lambda).
     """
-    d = derive(params, state)
     a = params.alpha
     if a <= 0.0:
         raise ConfigError("alpha must be positive")
@@ -175,53 +183,12 @@ def solve_lambda_star(params: ModelParams, state: MarketState,
             raise RegimeError(
                 f"closed form requires phi > max(z, 1+beta)/alpha; regime is {regime.value}")
 
-    hi = a * math.exp(-d.y)
-    # pin the quadrature resolution once so every iterate sees the same
-    # discretization of the xi integral
-    _, panels = adaptive_quad(lambda r: xi_star(params, state, 0.5 * hi, r),
-                              0.0, params.horizon, rel_tol=1e-13, abs_tol=1e-15,
-                              return_panels=True)
-    panels = max(panels, 8)
-    h = lambda lam: h_eval(params, state, lam, panels=panels)
-
-    bracket = None
-    if bracket_hint is not None:
-        lo_h, hi_h = max(bracket_hint[0], 0.0), bracket_hint[1]
-        if hi_h > lo_h and (f_hi := h(hi_h)) <= 0.0 <= (f_lo := h(lo_h)):
-            bracket = (lo_h, hi_h, f_lo, f_hi)
-    if bracket is None:
-        f_hi = h(hi)
-        if extended:
-            doublings = 0
-            while f_hi > 0.0:
-                hi *= 2.0
-                f_hi = h(hi)
-                doublings += 1
-                if doublings > 200:
-                    raise NumericalError("no sign change found for the multiplier equation")
-        elif f_hi > 0.0:
-            raise NumericalError("expected sign change on (0, alpha e^{-y}) not found")
-        bracket = (0.0, hi, h(0.0), f_hi)
-
-    lam = find_root(lambda lam: _h_with_slope(params, state, lam, panels), *bracket,
-                    xtol=1e-15 * max(1.0, bracket[1]))
-    resid = abs(h(lam))
+    panels = _panels(params, state, 0.5 * a * math.exp(-params.y))
+    lam = solve_multiplier(lambda lam: _log_e_with_slope(params, state, lam, panels))
+    resid = abs(h_eval(params, state, lam, panels=panels))
     if not resid <= tol * max(1.0, lam):
         raise NumericalError(f"multiplier residual {resid:.3e} above tolerance {tol:.1e}")
-    return float(lam)
-
-
-def reference_multiplier(params: ModelParams, state: MarketState) -> float | None:
-    """Continuous multiplier when one exists: solved in the large-holdings
-    regime, mapped from the degenerate solver at sigma = 0, None otherwise."""
-    regime = classify(params, state)
-    if regime is Regime.LARGE_HOLDINGS:
-        return solve_lambda_star(params, state)
-    if regime is Regime.ZERO_VOL:
-        d = derive(params, state)
-        zv = zero_vol.solve(params, state)
-        return params.alpha * float(p_eval(zv.p_star - d.z / params.alpha, params.alpha))
-    return None
+    return lam
 
 
 @dataclass(frozen=True)
@@ -278,7 +245,7 @@ def value(params: ModelParams, state: MarketState, tol: float = 1e-10) -> float:
     if regime is Regime.GAP:
         from . import discrete
         n = 2000
-        lam = discrete.solve_lambda_hat(params, state, n, bracket="expand")
+        lam = discrete.solve_lambda_hat(params, state, n)
         psi = discrete.recover_psi(params, state, n, lam, check=False)
         if float(np.min(psi)) < -1e-10 * max(1.0, state.holdings):
             raise NumericalError(
@@ -349,8 +316,7 @@ def value_flow_form(params: ModelParams, state: MarketState, lam: float) -> floa
 
 
 def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
-             tol: float = 1e-10, extended: bool = False,
-             bracket_hint: tuple[float, float] | None = None) -> ContinuousSchedule:
+             tol: float = 1e-10, extended: bool = False) -> ContinuousSchedule:
     """Full optimal schedule for the current regime.
 
     Large holdings: closed form via the multiplier. Zero volatility:
@@ -407,8 +373,7 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
             "holdings fall between the small- and large-holdings conditions; "
             "no closed form applies (use the discrete approximation)")
 
-    lam = solve_lambda_star(params, state, tol=tol, extended=extended,
-                            bracket_hint=bracket_hint)
+    lam = solve_lambda_star(params, state, tol=tol, extended=extended)
     xi = xi_star(params, state, lam, times)
     eta = eta_star(params, state, lam, times)
     zeta = zeta_star(params, state, lam, times)

@@ -10,9 +10,11 @@ Selling x_k in period k earns (per unit of e^{F+y}) the term
 and the maximand objective() is the sum of these terms. The optimal
 allocation is an interior stationary point of the Lagrangian
 objective + lambda (phi - sum x): every partial derivative equals the
-multiplier. The multiplier solves a strictly decreasing scalar equation
-hn_eval = 0 built from the inverses of the per-period response functions
-fnk_eval, and recover_psi maps the root back to the allocation.
+multiplier. Through the inverses of the per-period response functions
+fnk_eval it solves lambda = E_n(lambda), E_n positive and decreasing (the
+continuous equation's form; hn_eval = E_n - lambda), which
+numerics.solve_multiplier brackets a priori in [E_n(E_n(0)), E_n(0)];
+recover_psi maps the root back to the allocation.
 
 As n grows the recovered allocation converges to the continuous schedule:
 psi_0 -> p*, n psi_k -> zeta*_{k/n}, psi_{m-1} -> q*.
@@ -25,10 +27,9 @@ import warnings
 
 import numpy as np
 
-from . import continuous
-from .errors import ConfigError, NumericalError, ResolutionError
+from .errors import ConfigError, NumericalError
 from .model import MarketState, ModelParams, derive
-from .numerics import bisect_vec, find_root
+from .numerics import LOG_FLOAT_MAX, bisect_vec, solve_multiplier
 
 
 def periods(params: ModelParams, n: int) -> tuple[int, float]:
@@ -201,78 +202,46 @@ def _finv_all(params: ModelParams, state: MarketState, n: int, lam: float) -> np
 
 
 def hn_eval(params: ModelParams, state: MarketState, lam: float, n: int) -> float:
-    """Discrete multiplier equation; strictly decreasing with hn_eval(0) > 0."""
+    """Discrete multiplier mismatch E_n(lam) - lam; strictly decreasing, positive at 0."""
     if lam < 0.0:
         raise ConfigError("the multiplier is nonnegative")
-    return _hn_with_slope(params, state, lam, n)[0]
+    log_e = _log_e_with_slope(params, state, lam, n)[0]
+    if not log_e <= LOG_FLOAT_MAX:
+        raise NumericalError(f"hn({lam:.6g}) is beyond the float range: log E_n = {log_e:.6g}")
+    return math.exp(log_e) - lam
 
 
-def _hn_with_slope(params: ModelParams, state: MarketState, lam: float,
-                   n: int) -> tuple[float, float]:
-    """hn_eval(lam) and its slope, from one pass of response inverses.
+def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
+                      n: int) -> tuple[float, float]:
+    """log E_n(lam) and d log E_n / d log lam, from one pass of response inverses.
 
     x_k = fnk_inverse(k, q_k) with q_k = e^{c^{2k} y} lam / alpha, so
-    d x_k / d lam = (q_k / lam) / F'(x_k).
+    lam d x_k / d lam = q_k / F'(x_k).
     """
     m, c = periods(params, n)
     d = derive(params, state)
     a, y = params.alpha, params.y
     ks = np.arange(m - 1)
     finv = _finv_all(params, state, n, lam) if m > 1 else np.zeros(0)
-    inner = (1.0 - c) * float(np.sum(finv))
-    expo = a * inner - a * state.holdings + d.z - c ** (2 * (m - 1)) * y
-    e = a * math.exp(expo)
-    dq = np.exp(c ** (2 * ks) * y) / a
-    slope = a * (1.0 - c) * float(np.sum(dq / _fnk_derivative(params, n, ks, finv)))
-    return e - lam, e * slope - 1.0
+    log_e = (math.log(a) + a * (1.0 - c) * float(np.sum(finv)) - a * state.holdings
+             + d.z - c ** (2 * (m - 1)) * y)
+    q = np.exp(c ** (2 * ks) * y) * lam / a
+    return log_e, a * (1.0 - c) * float(np.sum(q / _fnk_derivative(params, n, ks, finv)))
 
 
 def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
-                     tol: float = 1e-10, lambda_ref: float | None = None,
-                     bracket: str = "reference") -> float:
-    """Root of hn_eval.
+                     tol: float = 1e-10) -> float:
+    """Root of hn_eval, for any phi.
 
-    bracket="reference" searches (0, 2 lambda_ref) where lambda_ref is the
-    continuous multiplier (computed here if not supplied); no sign change
-    on that interval means the grid is too coarse for the asymptotic
-    bracket to apply yet, reported as ResolutionError. bracket="expand"
-    doubles an initial guess until the sign changes and works for any phi.
+    solve_multiplier finds it inside [E_n(E_n(0)), E_n(0)]; the result
+    must leave |hn| <= tol max(1, lambda). With one period E_n does not
+    depend on lambda and the root is E_n(0).
     """
-    m, c = periods(params, n)
-    d = derive(params, state)
-    a, y = params.alpha, params.y
-    if m == 1:
-        return a * math.exp(-a * state.holdings + d.z - y)
-
-    h = lambda lam: hn_eval(params, state, lam, n)
-    if bracket == "reference":
-        if lambda_ref is None:
-            lambda_ref = continuous.solve_lambda_star(params, state)
-        hi = 2.0 * lambda_ref
-        f_hi = h(hi)
-        if f_hi > 0.0:
-            raise ResolutionError(
-                f"n={n} is too small: no multiplier in (0, 2 lambda*) for this instance")
-    elif bracket == "expand":
-        hi = a * math.exp(-y)
-        f_hi = h(hi)
-        doublings = 0
-        while f_hi > 0.0:
-            hi *= 2.0
-            f_hi = h(hi)
-            doublings += 1
-            if doublings > 200:
-                raise NumericalError("no sign change found for the discrete multiplier")
-    else:
-        raise ConfigError(f"unknown bracket mode {bracket!r}")
-
-    lam = find_root(lambda lam: _hn_with_slope(params, state, lam, n), 0.0, hi,
-                    _hn_with_slope(params, state, 0.0, n)[0], f_hi,
-                    xtol=1e-16 * max(1.0, hi))
-    resid = abs(h(lam))
+    lam = solve_multiplier(lambda lam: _log_e_with_slope(params, state, lam, n))
+    resid = abs(hn_eval(params, state, lam, n))
     if not resid <= tol * max(1.0, lam):
         raise NumericalError(f"discrete multiplier residual {resid:.3e} above {tol:.1e}")
-    return float(lam)
+    return lam
 
 
 def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float,

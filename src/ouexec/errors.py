@@ -17,10 +17,6 @@ class NumericalError(RuntimeError):
     """A root find or quadrature failed to reach its tolerance."""
 
 
-class ResolutionError(NumericalError):
-    """The discrete solver's period count is too small for this instance."""
-
-
 class StandingAssumptionWarning(UserWarning):
     """Inputs violate the standing assumption z > 2y.
 

@@ -52,8 +52,8 @@ def l_root(beta: float = 1.0, horizon: float = 1.0, lo: float = 1e-6,
         L'(z) = (beta t - 1 + beta t z / (1 + beta t)) exp(-beta t z / (1 + beta t))
                 - beta t e^{-z-1},
 
-    kept inside the sign-change bracket [lo, hi] by find_root. The root is
-    of order one, so the step tolerance is absolute.
+    kept inside the sign-change bracket [lo, hi] by find_root; its step
+    tolerance 1e-13 max(1, |z|) is about 3e-13 at the root.
     """
     f_lo, f_hi = l_eval(lo, beta, horizon), l_eval(hi, beta, horizon)
     if not (f_lo < 0.0 < f_hi):
@@ -69,15 +69,13 @@ def l_root(beta: float = 1.0, horizon: float = 1.0, lo: float = 1e-6,
 
 
 def extended_schedule(params: ModelParams, state: MarketState,
-                      grid_points: int = 1000,
-                      bracket_hint: tuple[float, float] | None = None):
+                      grid_points: int = 1000):
     """Schedule formulas evaluated without the large-holdings condition.
 
     Components may be negative (purchases); no optimality among
     nonnegative strategies is claimed.
     """
-    return continuous.schedule(params, state, grid_points=grid_points,
-                               extended=True, bracket_hint=bracket_hint)
+    return continuous.schedule(params, state, grid_points=grid_points, extended=True)
 
 
 @dataclass(frozen=True)
@@ -87,15 +85,18 @@ class RoundTripBound:
     lambda_star: float    # extended multiplier at phi = 0
 
 
-def round_trip_profit_bound(params: ModelParams, state: MarketState,
-                            bracket_hint: tuple[float, float] | None = None) -> RoundTripBound:
+def round_trip_profit_bound(params: ModelParams, state: MarketState) -> RoundTripBound:
     """Analytic lower bound on the expected profit of the phi = 0 round trip."""
     if abs(state.holdings) > 1e-12:
         raise ConfigError("round trips require phi = 0")
+    lam = continuous.solve_lambda_star(params, state, extended=True)
+    return _bound_at(params, state, lam)
+
+
+def _bound_at(params: ModelParams, state: MarketState, lam: float) -> RoundTripBound:
+    """The round-trip profit bounds at the extended multiplier lam."""
     d = derive(params, state)
     a, b, t = params.alpha, params.beta, params.horizon
-    lam = continuous.solve_lambda_star(params, state, extended=True,
-                                       bracket_hint=bracket_hint)
 
     def kernel(r):
         r = np.asarray(r, dtype=float)
@@ -139,9 +140,10 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
 
     For each z the market price is reset to e^{F+z} with zero holdings,
     the extended schedule is solved, and the profit is both bounded
-    analytically and verified exactly by the proceeds evaluator on the
-    assembled strategy. first_profitable_z reports the smallest scanned z
-    certified both ways: analytic bound > 0 and verified profit > 0.
+    analytically at the schedule's multiplier and verified exactly by the
+    proceeds evaluator on the assembled strategy. first_profitable_z
+    reports the smallest scanned z certified both ways: analytic bound > 0
+    and verified profit > 0.
     """
     if abs(state.holdings) > 1e-12:
         raise ConfigError("scan operates on round trips; set phi = 0")
@@ -149,17 +151,12 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
     l_vals = np.asarray(l_eval(zs, params.beta, params.horizon))
     bounds = np.empty(points)
     profits = np.empty(points)
-    hint = None
     for i, z in enumerate(zs):
         price = math.exp(params.fundamental_log + z)
         st = MarketState(cash=state.cash, holdings=0.0, price=price)
-        rtb = round_trip_profit_bound(params, st, bracket_hint=hint)
-        bounds[i] = rtb.bound
-        sched = extended_schedule(params, st, grid_points=grid_points,
-                                  bracket_hint=(0.5 * rtb.lambda_star,
-                                                2.0 * rtb.lambda_star))
+        sched = extended_schedule(params, st, grid_points=grid_points)
+        bounds[i] = _bound_at(params, st, sched.lambda_star).bound
         profits[i] = expected_proceeds(params, st, sched.strategy) - state.cash
-        hint = (0.5 * rtb.lambda_star, 2.0 * rtb.lambda_star)
 
     certified = np.flatnonzero((bounds > 0.0) & (profits > 0.0))
     first = float(zs[certified[0]]) if certified.size else None

@@ -8,16 +8,23 @@ the zero-volatility block) go through lambert_w0. Every other scalar root
 is found by find_root, a Newton iteration that falls back to bisection
 whenever a step would leave the shrinking sign-change bracket; bisect_vec
 inverts the discrete per-period responses elementwise.
+Both multiplier equations read lambda = E(lambda) with E positive and
+decreasing, so the root lies in [E(E(0)), E(0)]; solve_multiplier runs
+find_root on that bracket in log lambda, where the equation is nearly
+linear even when E(0) is e^80 and the root e^30.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -147,8 +154,10 @@ def find_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: float,
     the Newton step from it, or the bracket midpoint when that step would
     leave the bracket or is not at most half the previous step. Returns
     a point where f is exactly zero, or the first point reached by a step
-    of at most xtol; stopping on the step rather than on |f| lets Newton
-    run down to the noise floor of f.
+    of at most xtol max(1, |x|), a tolerance that stays above the float
+    spacing of x. Stopping on the step rather than on |f| lets Newton run
+    down to the noise floor of f; a Newton step that small is taken even
+    when it rounds onto a bracket end, as bisecting would throw it away.
     """
     if f_lo == 0.0:
         return lo
@@ -169,10 +178,36 @@ def find_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: float,
         else:
             hi = x
         new = x - f / df if df != 0.0 else math.nan
+        step_tol = xtol * max(1.0, abs(x))
+        if abs(new - x) <= step_tol:
+            return new
         if not (lo < new < hi and abs(new - x) <= 0.5 * last):
             new = 0.5 * (lo + hi)
         last = abs(new - x)
         x = new
-        if last <= xtol:
+        if last <= step_tol:
             return x
     raise NumericalError(f"no root to within {xtol:.1e} after 100 iterations")
+
+
+def solve_multiplier(log_e: Callable[[float], tuple[float, float]]) -> float:
+    """Root of lambda = E(lambda) for a positive, decreasing E.
+
+    log_e(lam) returns log E(lam) and d log E / d log lam (<= 0). In
+    u = log lam, find_root runs on G(u) = log E(e^u) - u, whose slope is
+    <= -1, over [lo, hi] = [log E(E(0)), log E(0)]: hi is log E(0), and
+    lo = hi + G(hi) comes with the evaluation at hi.
+    """
+    hi = log_e(0.0)[0]
+    if not hi < 700.0:
+        raise NumericalError(f"multiplier bound E(0) = e^{hi:.6g} is too large for float")
+
+    def g(u):
+        log_e_u, slope = log_e(math.exp(u))
+        return log_e_u - u, slope - 1.0
+
+    # G(hi) <= 0 <= G(lo) hold exactly; the clamps drop rounding-level misses
+    g_hi = min(g(hi)[0], 0.0)
+    # e^u is 0.0 below u = -746, so no point there says more than u = -746
+    lo = max(hi + g_hi, min(hi, -746.0))
+    return math.exp(find_root(g, lo, hi, max(g(lo)[0], 0.0), g_hi, xtol=1e-15))

@@ -133,11 +133,10 @@ def test_criterion_06_discrete_convergence_on_reference_instance():
     state = MarketState(cash=0.0, holdings=3.0, price=E)
     p_star, zeta_star, q_star = (ref.ZERO_VOL_P_STAR, ref.ZERO_VOL_ZETA_STAR,
                                  ref.ZERO_VOL_Q_STAR)
-    lam_ref = continuous.reference_multiplier(params, state)
     value_errs = []
     shape_errs = []
     for n in (10, 100, 1000):
-        lam = discrete.solve_lambda_hat(params, state, n, lambda_ref=lam_ref)
+        lam = discrete.solve_lambda_hat(params, state, n)
         psi = discrete.recover_psi(params, state, n, lam)
         v = discrete.discrete_value(params, state, psi, n)
         value_errs.append(abs(v - ref.ZERO_VOL_VALUE))
@@ -170,7 +169,7 @@ def test_criterion_07_brute_force_oracle_equivalence():
                              sigma=params.sigma,
                              fundamental_log=params.fundamental_log, horizon=1.0)
         for n in (2, 3, 4):
-            lam = discrete.solve_lambda_hat(params, state, n, bracket="expand")
+            lam = discrete.solve_lambda_hat(params, state, n)
             psi = discrete.recover_psi(params, state, n, lam)
             g = discrete.gradient(params, state, psi, n)
             worst_stat = max(worst_stat, float(np.max(np.abs(g - lam)))

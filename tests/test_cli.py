@@ -118,6 +118,17 @@ def test_manipulate_outputs(tmp_path):
     assert (out / "manipulation.svg").exists()
 
 
+def test_manipulate_beyond_float_range_exits_3(tmp_path, capsys):
+    # at z = 690 with beta = 50 the multiplier bound E(0) is e^740
+    cfg = _write_config(tmp_path, "c.json", beta=50.0, sigma=0.5, phi=0.0, s=1.0,
+                        z_range=[689.0, 690.0], grid_points=50)
+    assert cli.main(["manipulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "numerical"
+
+
 def test_manipulate_requires_flat_book(tmp_path):
     cfg = _write_config(tmp_path, "c.json")  # phi = 3
     assert cli.main(["manipulate", "--config", str(cfg),

@@ -9,14 +9,13 @@ from scipy.special import lambertw
 
 import reference_values as ref
 from conftest import E, random_large_instance
-from ouexec import (ConfigError, MarketState, ModelParams, Regime, RegimeError,
-                    expected_proceeds)
+from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, Regime,
+                    RegimeError, expected_proceeds)
 from ouexec import continuous
 from ouexec import zero_vol
-from ouexec.continuous import (h_eval, p_eval, p_inverse, reference_multiplier,
-                               schedule, solve_lambda_star, value,
-                               value_block_form, value_flow_form, xi_star,
-                               zeta_star)
+from ouexec.continuous import (h_eval, p_eval, p_inverse, schedule,
+                               solve_lambda_star, value, value_block_form,
+                               value_flow_form, xi_star, zeta_star)
 
 
 # ---------------------------------------------------------------- P and P^-1
@@ -74,11 +73,15 @@ def test_h_positive_at_zero_and_decreasing(ou_params, ref_state):
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_bracket_hint_is_validated_not_trusted(ou_params, ref_state):
-    good = solve_lambda_star(ou_params, ref_state)
-    # a hint that does not bracket the root must be ignored, not believed
-    bad = solve_lambda_star(ou_params, ref_state, bracket_hint=(2.0, 4.0))
-    assert bad == pytest.approx(good, rel=1e-12)
+def test_h_beyond_float_range_is_numerical_error():
+    # alpha = 1, beta = 50, z = 690, phi = 0: log E(0) = beta t + z - y ~ 740
+    params = ModelParams(alpha=1.0, beta=50.0, sigma=0.5, fundamental_log=0.0,
+                         horizon=1.0)
+    state = MarketState(cash=0.0, holdings=0.0, price=math.exp(690.0))
+    with pytest.raises(NumericalError):
+        h_eval(params, state, 0.0)
+    with pytest.raises(NumericalError):
+        solve_lambda_star(params, state, extended=True)
 
 
 def test_eq9_style_bound_holds_for_round_trips(ou_params):
@@ -174,6 +177,7 @@ def test_small_holdings_block_schedule(ou_params):
     sched = schedule(params, state, grid_points=20)
     assert sched.regime is Regime.SMALL_HOLDINGS
     assert sched.p_star == 0.5 and sched.q_star == 0.0
+    assert sched.lambda_star is None
     assert np.all(sched.eta == 0.5)
     assert sched.value == pytest.approx(ref.SMALL_HOLDINGS_VALUE, rel=1e-14)
     val = expected_proceeds(params, state, sched.strategy)
@@ -194,15 +198,6 @@ def test_value_dispatch_matches_schedule(ou_params, zv_params, ref_state):
         schedule(ou_params, ref_state).value, rel=1e-13)
     assert value(zv_params, ref_state) == pytest.approx(
         zero_vol.solve(zv_params, ref_state).value, rel=1e-14)
-
-
-def test_reference_multiplier_dispatch(ou_params, zv_params, ref_state):
-    assert reference_multiplier(ou_params, ref_state) == pytest.approx(
-        ref.OU_LAMBDA_STAR, rel=1e-12)
-    assert reference_multiplier(zv_params, ref_state) == pytest.approx(
-        ref.ZERO_VOL_LAMBDA_STAR, rel=1e-12)
-    small = MarketState(cash=0.0, holdings=0.4, price=E)
-    assert reference_multiplier(ou_params, small) is None
 
 
 def test_extended_mode_handles_small_phi(ou_params):

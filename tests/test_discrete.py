@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-import reference_values as ref
 from conftest import random_large_instance
 from ouexec import ConfigError, MarketState, ModelParams, NumericalError
 from ouexec.discrete import (brute_force, discrete_value, fnk_eval,
                              fnk_inverse, fnk_zero, gradient, hn_eval,
                              objective, periods, recover_psi, solve_lambda_hat)
-from ouexec.errors import ResolutionError
 
 
 def test_periods_and_decay(ou_params):
@@ -88,17 +86,34 @@ def test_fnk_decreasing_and_inverse_roundtrip(ou_params):
 
 def test_hn_root_and_bracket_modes(ou_params, ref_state):
     n = 100
-    lam_ref = solve_lambda_hat(ou_params, ref_state, n,
-                               lambda_ref=ref.OU_LAMBDA_STAR)
-    lam_exp = solve_lambda_hat(ou_params, ref_state, n, bracket="expand")
-    assert lam_ref == pytest.approx(lam_exp, rel=1e-12)
-    assert abs(hn_eval(ou_params, ref_state, lam_ref, n)) <= 1e-10
+    lam = solve_lambda_hat(ou_params, ref_state, n)
+    assert abs(hn_eval(ou_params, ref_state, lam, n)) <= 1e-10
+    # the root lies in the a priori bracket [E_n(E_n(0)), E_n(0)]
+    e0 = hn_eval(ou_params, ref_state, 0.0, n)
+    assert hn_eval(ou_params, ref_state, e0, n) + e0 <= lam <= e0
 
 
-def test_reference_bracket_failure_is_typed(ou_params, ref_state):
-    # a reference multiplier far below the root gives a bracket with no sign change
-    with pytest.raises(ResolutionError):
-        solve_lambda_hat(ou_params, ref_state, 50, lambda_ref=1e-6)
+def test_small_holdings_multiplier_regression():
+    # the doubling bracket of an earlier solver overshot here and the
+    # per-period response inversion failed to converge
+    params = ModelParams(alpha=9.786723429030848, beta=0.030784738473593875,
+                         sigma=0.6102862843570457, fundamental_log=0.0,
+                         horizon=0.8881412274135774)
+    state = MarketState(cash=0.0, holdings=1.1884830123353152,
+                        price=math.exp(26.941400876293166))
+    with pytest.warns(UserWarning, match="not an integer"):
+        lam = solve_lambda_hat(params, state, 3)
+        assert abs(hn_eval(params, state, lam, 3)) <= 1e-10
+
+
+def test_hn_beyond_float_range_is_numerical_error():
+    params = ModelParams(alpha=1.0, beta=50.0, sigma=0.5, fundamental_log=0.0,
+                         horizon=1.0)
+    state = MarketState(cash=0.0, holdings=0.0, price=math.exp(690.0))
+    with pytest.raises(NumericalError):
+        hn_eval(params, state, 0.0, 10)
+    with pytest.raises(NumericalError):
+        solve_lambda_hat(params, state, 10)
 
 
 def test_recover_psi_checks_stationarity(ou_params, ref_state):
@@ -120,8 +135,7 @@ def test_errors_decrease_with_n(ou_params, ref_state):
     v_ref = value(ou_params, ref_state)
     errs = []
     for n in (8, 32, 128):
-        lam = solve_lambda_hat(ou_params, ref_state, n,
-                               lambda_ref=ref.OU_LAMBDA_STAR)
+        lam = solve_lambda_hat(ou_params, ref_state, n)
         psi = recover_psi(ou_params, ref_state, n, lam)
         errs.append(abs(discrete_value(ou_params, ref_state, psi, n) - v_ref))
     assert errs[0] > errs[1] > errs[2]
@@ -132,7 +146,7 @@ def test_errors_decrease_with_n(ou_params, ref_state):
 def test_first_and_last_psi_exceed_interior(ou_params, ref_state):
     # the discrete solution mirrors the block-rate-block shape
     n = 40
-    lam = solve_lambda_hat(ou_params, ref_state, n, lambda_ref=ref.OU_LAMBDA_STAR)
+    lam = solve_lambda_hat(ou_params, ref_state, n)
     psi = recover_psi(ou_params, ref_state, n, lam)
     assert psi[0] > np.max(psi[1:-1])
     assert psi[-1] > np.max(psi[1:-1])
@@ -141,7 +155,7 @@ def test_first_and_last_psi_exceed_interior(ou_params, ref_state):
 
 def test_brute_force_agrees_with_multiplier_route(ou_params, ref_state):
     for n in (2, 3):
-        lam = solve_lambda_hat(ou_params, ref_state, n, bracket="expand")
+        lam = solve_lambda_hat(ou_params, ref_state, n)
         psi = recover_psi(ou_params, ref_state, n, lam)
         x_bf, v_bf = brute_force(ou_params, ref_state, n, resolution=150)
         v_psi = discrete_value(ou_params, ref_state, psi, n)
@@ -165,7 +179,7 @@ def test_random_instances_brute_vs_recovered():
                              sigma=params.sigma,
                              fundamental_log=params.fundamental_log, horizon=1.0)
         n = 3
-        lam = solve_lambda_hat(params, state, n, bracket="expand")
+        lam = solve_lambda_hat(params, state, n)
         psi = recover_psi(params, state, n, lam)
         x_bf, v_bf = brute_force(params, state, n, resolution=120)
         assert v_bf == pytest.approx(discrete_value(params, state, psi, n), rel=1e-8)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_values as ref
-from ouexec import ConfigError, MarketState, ModelParams, expected_proceeds
+from ouexec import ConfigError, MarketState, ModelParams, continuous, expected_proceeds
 from ouexec.continuous import schedule, value_block_form
 from ouexec.manipulation import (extended_schedule, l_eval, l_root,
                                  round_trip_profit_bound, scan)
@@ -118,6 +118,22 @@ def test_scan_low_window_profitable_under_volatility():
     assert np.all(rep.profit_bounds > 0.0)
     assert np.all(rep.verified_profits > 0.0)
     assert rep.first_profitable_z == pytest.approx(0.1)
+
+
+def test_scan_solves_the_multiplier_once_per_point(monkeypatch):
+    calls = []
+    solve = continuous.solve_lambda_star
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("extended"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuous, "solve_lambda_star", counted)
+    rep = scan(_params(), _state(0.0), (1.0, 6.0), points=5, grid_points=100)
+    assert calls == [True] * 5
+    # the bound at the schedule's multiplier is the stand-alone bound
+    rtb = round_trip_profit_bound(_params(), _state(float(rep.z_values[2])))
+    assert rep.profit_bounds[2] == pytest.approx(rtb.bound, rel=1e-14)
 
 
 def test_scan_requires_flat_book():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import reference_values as ref
 from ouexec import (ConfigError, MarketState, ModelParams, expected_proceeds,
                     simulate, simulate_discrete)
 from ouexec.continuous import schedule
@@ -74,7 +73,7 @@ def test_steps_must_align_with_cells(ou_params, ref_state):
 
 def test_discrete_simulation_within_three_se(ou_params, ref_state):
     n = 10
-    lam = solve_lambda_hat(ou_params, ref_state, n, lambda_ref=ref.OU_LAMBDA_STAR)
+    lam = solve_lambda_hat(ou_params, ref_state, n)
     psi = recover_psi(ou_params, ref_state, n, lam)
     rep = simulate_discrete(ou_params, ref_state, psi, n, paths=30_000, seed=5)
     target = discrete_value(ou_params, ref_state, psi, n)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ouexec import ConfigError, NumericalError
+from ouexec import (ConfigError, MarketState, ModelParams, NumericalError,
+                    continuous, discrete)
 from ouexec.numerics import (adaptive_quad, bisect_vec, find_root, fixed_quad,
-                             gl_nodes, lambert_w0, lambert_w0_exp)
+                             gl_nodes, lambert_w0, lambert_w0_exp,
+                             solve_multiplier)
 
 
 def test_gl_nodes_integrate_polynomials_exactly():
@@ -86,6 +88,22 @@ def test_find_root_requires_sign_change():
         find_root(fdf, -1.0, 2.0, 2.0, 5.0, xtol=1e-12)
 
 
+def test_find_root_stops_at_the_noise_floor():
+    # f carries rounding-level noise, so Newton steps near the root neither
+    # shrink below an absolute 1e-15 nor halve; the relative step tolerance
+    # must end the search there instead of bisecting the whole bracket
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        return 20.4336388081808 - x + 1e-14 * math.sin(1e15 * x), -1.0
+
+    root = find_root(fdf, -700.0, 40.0, 720.4336388081808, -19.5663611918192,
+                     xtol=1e-15)
+    assert abs(root - 20.4336388081808) <= 1e-13
+    assert len(seen) <= 5
+
+
 def test_bisect_vec_elementwise():
     targets = np.array([1.0, 2.0, 3.0, 10.0])
     f = lambda x: x * x - targets
@@ -129,3 +147,55 @@ def test_lambert_w0_exp_solves_w_plus_log_w(log_x):
         w = lambert_w0_exp(log_x)
         assert w > 0.0 and math.isfinite(w)
         assert w + math.log(w) == pytest.approx(log_x, rel=1e-13, abs=1e-13)
+
+
+# ------------------------------------------------------- the multiplier solve
+
+@pytest.mark.parametrize("c", np.geomspace(1e-300, 1e300, 61))
+def test_solve_multiplier_lambert_family(c):
+    # lambda = c e^{-lambda} is lambda e^lambda = c, so the root is W0(c);
+    # lambda = e^u inherits the float spacing of u = log lambda
+    calls = []
+
+    def log_e(lam):
+        calls.append(lam)
+        return math.log(c) - lam, -lam
+
+    lam = solve_multiplier(log_e)
+    w = float(lambert_w0(c))
+    assert lam == pytest.approx(w, rel=max(1e-14, 4.0 * math.ulp(math.log(w))))
+    assert len(calls) <= 30
+
+
+def test_solve_multiplier_refuses_e0_beyond_range():
+    with pytest.raises(NumericalError):
+        solve_multiplier(lambda lam: (700.0 - lam, -lam))
+    with pytest.raises(NumericalError):
+        solve_multiplier(lambda lam: (math.nan, 0.0))
+
+
+@settings(max_examples=60)
+@given(log_alpha=st.floats(-2.0, 2.0), log_beta=st.floats(-2.0, 2.0),
+       sigma=st.floats(0.0, 1.5), t=st.floats(0.01, 1.0), z=st.floats(-1.0, 40.0),
+       phi=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)))
+def test_multiplier_solves_over_the_sweep_domain(log_alpha, log_beta, sigma, t, z, phi):
+    # each solve returns a root within the a priori bound lambda <= E(0)
+    # that passes the residual check, or raises a typed error
+    params = ModelParams(alpha=10.0 ** log_alpha, beta=10.0 ** log_beta, sigma=sigma,
+                         fundamental_log=0.0, horizon=t)
+    state = MarketState(cash=0.0, holdings=phi, price=math.exp(z))
+    solves = [(lambda: continuous.solve_lambda_star(params, state, extended=True),
+               lambda lam: continuous.h_eval(params, state, lam))]
+    for n in (2, 3, 10, 100):
+        solves.append((lambda n=n: discrete.solve_lambda_hat(params, state, n),
+                       lambda lam, n=n: discrete.hn_eval(params, state, lam, n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for solve, mismatch in solves:
+            try:
+                lam = solve()
+            except (ConfigError, NumericalError):
+                continue
+            e0 = mismatch(0.0)
+            assert 0.0 <= lam <= e0 * (1.0 + 1e-14)
+            assert abs(mismatch(lam)) <= 1e-10 * max(1.0, lam)
