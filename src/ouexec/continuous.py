@@ -29,7 +29,7 @@ import numpy as np
 from . import zero_vol
 from .errors import ConfigError, NumericalError, RegimeError
 from .model import MarketState, ModelParams, Regime, block_factor, classify, derive
-from .numerics import (LOG_FLOAT_MAX, adaptive_quad, lambert_w0, panel_nodes,
+from .numerics import (FLOAT_TINY, LOG_FLOAT_MAX, adaptive_quad, lambert_w0, panel_nodes,
                        solve_multiplier)
 from .strategy import ExecutionStrategy, assemble_optimal
 
@@ -172,7 +172,8 @@ def solve_lambda_star(params: ModelParams, state: MarketState,
     quadrature is pinned once, at the panel count the adaptive rule needs
     for lambda = alpha e^{-y} / 2, so every iterate sees the same
     discretization; solve_multiplier then finds the root, and the result
-    must leave |H| <= tol max(1, lambda).
+    must leave |H| <= tol lambda (relative down to the smallest normal
+    float).
     """
     a = params.alpha
     if a <= 0.0:
@@ -186,7 +187,7 @@ def solve_lambda_star(params: ModelParams, state: MarketState,
     panels = _panels(params, state, 0.5 * a * math.exp(-params.y))
     lam = solve_multiplier(lambda lam: _log_e_with_slope(params, state, lam, panels))
     resid = abs(h_eval(params, state, lam, panels=panels))
-    if not resid <= tol * max(1.0, lam):
+    if not resid <= tol * max(lam, FLOAT_TINY):
         raise NumericalError(f"multiplier residual {resid:.3e} above tolerance {tol:.1e}")
     return lam
 

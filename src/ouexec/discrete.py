@@ -11,10 +11,12 @@ and the maximand objective() is the sum of these terms. The optimal
 allocation is an interior stationary point of the Lagrangian
 objective + lambda (phi - sum x): every partial derivative equals the
 multiplier. Through the inverses of the per-period response functions
-fnk_eval it solves lambda = E_n(lambda), E_n positive and decreasing (the
-continuous equation's form; hn_eval = E_n - lambda), which
-numerics.solve_multiplier brackets a priori in [E_n(E_n(0)), E_n(0)];
-recover_psi maps the root back to the allocation.
+F^n_k (fnk_eval, the discrete analogue of P) it solves lambda = E_n(lambda),
+E_n positive and decreasing (the continuous equation's form;
+hn_eval = E_n - lambda), which numerics.solve_multiplier brackets a priori
+in [E_n(E_n(0)), E_n(0)]; recover_psi maps the root back to the allocation.
+fnk_inverse is one monotone Newton iteration on log F^n_k from a Lambert-W
+start, the continuous P^{-1} in the limit.
 
 As n grows the recovered allocation converges to the continuous schedule:
 psi_0 -> p*, n psi_k -> zeta*_{k/n}, psi_{m-1} -> q*.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import MarketState, ModelParams, derive
-from .numerics import LOG_FLOAT_MAX, bisect_vec, solve_multiplier
+from .numerics import FLOAT_TINY, LOG_FLOAT_MAX, lambert_w0_exp, solve_multiplier
 
 
 def periods(params: ModelParams, n: int) -> tuple[int, float]:
@@ -62,18 +64,10 @@ def objective(params: ModelParams, state: MarketState, x, n: int) -> float:
     legs always dominate the sales they finance) comes out as -inf instead
     of an overflow error.
     """
-    m, c = periods(params, n)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m,):
-        raise ConfigError(f"allocation must have {m} entries for n={n}")
+    m, c, x, acc = _impact(params, x, n)
     d = derive(params, state)
     a, y = params.alpha, params.y
     ck = c ** np.arange(m)
-    acc = np.empty(m)  # A_k just before trade k
-    run = 0.0
-    for k in range(m):
-        acc[k] = run
-        run = c * (run + x[k])
     expo = ck * d.z - ck * ck * y - a * acc
     u = -a * x  # term sign and magnitude come from -expm1(u)
     if np.max(expo) <= 700.0 and np.max(u) <= 700.0:
@@ -100,105 +94,125 @@ def discrete_value(params: ModelParams, state: MarketState, x, n: int) -> float:
 
 def gradient(params: ModelParams, state: MarketState, x, n: int) -> np.ndarray:
     """Partial derivatives of objective(); all equal the multiplier at an optimum."""
+    m, c, x, acc = _impact(params, x, n)
+    d = derive(params, state)
+    a, y = params.alpha, params.y
+    s_k = acc + x  # impact level right after the period-k sale
+    ck = c ** np.arange(m)
+    # grad_k = c grad_{k+1} + a (1 - c) e^{-c^{2k} y} F^n_k(S_k - c^k z / a)
+    terms = (a * (1.0 - c) * np.exp(-ck[:-1] ** 2 * y)
+             * fnk_eval(params, n, np.arange(m - 1), s_k[:-1] - ck[:-1] * d.z / a))
+    grad = np.empty(m)
+    grad[m - 1] = a * math.exp(ck[-1] * d.z - ck[-1] ** 2 * y - a * s_k[m - 1])
+    for k in range(m - 2, -1, -1):
+        grad[k] = c * grad[k + 1] + terms[k]
+    return grad
+
+
+def _impact(params: ModelParams, x, n: int):
+    """m, c, the allocation as an array, and A_k just before each trade k."""
     m, c = periods(params, n)
     x = np.asarray(x, dtype=float)
     if x.shape != (m,):
         raise ConfigError(f"allocation must have {m} entries for n={n}")
-    d = derive(params, state)
-    a, y = params.alpha, params.y
-
-    acc = np.empty(m)  # A_k
+    acc = np.empty(m)
     run = 0.0
     for k in range(m):
         acc[k] = run
         run = c * (run + x[k])
-    s_k = acc + x  # impact level right after the period-k sale
+    return m, c, x, acc
 
-    grad = np.empty(m)
-    ck_last = c ** (m - 1)
-    grad[m - 1] = a * math.exp(ck_last * d.z - ck_last ** 2 * y - a * s_k[m - 1])
-    cpow = c ** np.arange(m)
-    for k in range(m - 2, -1, -1):
-        f_val = fnk_eval(params, n, k, s_k[k] - cpow[k] * d.z / a)
-        grad[k] = c * grad[k + 1] + a * (1.0 - c) * math.exp(-cpow[k] ** 2 * y) * f_val
-    return grad
+
+def _response(params: ModelParams, n: int, k):
+    """alpha, c and the zero x0 = (beta/n - c^{2k} (1 - c^2) y) / (alpha (1 - c)) of F^n_k.
+
+    -log c is beta/n exactly, so x0 stays finite where c underflows to 0.
+    """
+    _, c = periods(params, n)
+    a = params.alpha
+    if a <= 0.0 or c == 1.0:
+        raise ConfigError("F^n_k needs alpha > 0 and a decay factor c = e^{-beta/n} below 1")
+    # numpy's scalar and array powers can differ in the last bit: use one for any k
+    g = c ** (2 * np.atleast_1d(k)) * (1.0 - c * c) * params.y
+    return a, c, ((params.beta / n - g) / (a * (1.0 - c))).reshape(np.shape(k))
+
+
+def _log_abs_fnk(a: float, c: float, x0, x):
+    """s = alpha (1 - c)(x - x0) and log |F^n_k(x)|, for any x.
+
+    F = e^{-alpha x} (-expm1(s)) / (1 - c): no cancellation, F(x0) = 0 exactly.
+    """
+    s = a * (1.0 - c) * (x - x0)
+    gap = -np.expm1(-np.abs(s))
+    log_gap = np.log(gap, out=np.full(np.shape(gap), -np.inf), where=gap > 0.0)
+    return s, log_gap + np.maximum(s, 0.0) - a * x - math.log(1.0 - c)
 
 
 def fnk_eval(params: ModelParams, n: int, k, x):
     """Per-period price response F^n_k, the discrete analogue of P."""
-    _, c = periods(params, n)
-    a, y = params.alpha, params.y
-    if a <= 0.0:
-        raise ConfigError("alpha must be positive")
-    k = np.asarray(k)
-    x = np.asarray(x, dtype=float)
-    g = c ** (2 * k) * (1.0 - c * c) * y
-    out = (np.exp(-a * x) - c * np.exp(-a * c * x + g)) / (1.0 - c)
+    a, c, x0 = _response(params, n, k)
+    s, log_f = _log_abs_fnk(a, c, x0, np.asarray(x, dtype=float))
+    out = np.sign(-s) * np.exp(log_f)
     return float(out) if out.ndim == 0 else out
-
-
-def _fnk_derivative(params, n, k, x):
-    _, c = periods(params, n)
-    a, y = params.alpha, params.y
-    g = c ** (2 * np.asarray(k)) * (1.0 - c * c) * y
-    return (-a * np.exp(-a * x) + a * c * c * np.exp(-a * c * x + g)) / (1.0 - c)
 
 
 def fnk_zero(params: ModelParams, n: int, k):
     """Right endpoint of the domain on which F^n_k is inverted (F = 0 there)."""
-    _, c = periods(params, n)
-    a, y = params.alpha, params.y
-    k = np.asarray(k)
-    g = c ** (2 * k) * (1.0 - c * c) * y
-    out = -(math.log(c) + g) / (a * (1.0 - c))
-    return float(out) if out.ndim == 0 else out
+    x0 = _response(params, n, k)[2]
+    return float(x0) if np.ndim(x0) == 0 else x0
 
 
 def fnk_inverse(params: ModelParams, n: int, k, q):
     """Inverse of F^n_k on (-inf, fnk_zero], defined for q >= 0.
 
-    F^n_k decreases through its zero and keeps decreasing a little beyond
-    it, so Newton steps clipped to the bisection bracket cannot escape.
+    log F is concave and decreasing there, so Newton on log F - log q
+    from a point right of the root stays right of it and decreases to it.
+    It starts where the bound F <= alpha (x0 - x) e^{-alpha x} (1 - e^s <= -s)
+    equals q: x0 - W0(q e^{alpha x0}) / alpha, the continuous P^{-1} as n -> inf
+    and x0 itself at q = 0. It stops after a step of at most 1e-14 |x|, once
+    F is within 1e-14 of q relative, or on a step that fails to halve (the
+    noise floor). The result must leave |F(x) - q| <= 1e-12 max(1, q) +
+    4 eps |x| |F'(x)|, the last term the rounding floor of x.
     """
-    scalar = np.isscalar(q) and np.isscalar(k)
-    k = np.atleast_1d(np.asarray(k))
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    k, q = np.broadcast_arrays(k, q)
+    scalar = np.ndim(k) == 0 and np.ndim(q) == 0
+    k, q = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(np.asarray(q, dtype=float)))
     if np.any(q < -1e-15):
         raise ConfigError("F^n_k only takes nonnegative values on its domain")
     q = np.maximum(q, 0.0)
-
-    hi = np.atleast_1d(np.asarray(fnk_zero(params, n, k), dtype=float)).copy()
-    lo = hi.copy()
-    step = np.ones_like(hi)
-    for _ in range(200):
-        need = fnk_eval(params, n, k, lo) < q
-        if not np.any(need):
+    a, c, x0 = _response(params, n, k)
+    log_q = np.log(q, out=np.full(q.shape, -np.inf), where=q > 0.0)
+    x = x0 - lambert_w0_exp(log_q + a * x0) / a
+    live = x < x0
+    last = np.full(q.shape, np.inf)
+    for _ in range(10):
+        s, log_f = _log_abs_fnk(a, c, x0[live], x[live])
+        miss = log_f - log_q[live]
+        step = miss * _inv_log_slope(a, c, s)
+        size = np.abs(step)
+        noise = size > 0.5 * last[live]
+        x[live] = np.where(noise, x[live], x[live] - step)
+        last[live] = size
+        live[live] = ~(noise | (size <= 1e-14 * np.abs(x[live])) | (np.abs(miss) <= 1e-14))
+        live &= x < x0
+        if not np.any(live):
             break
-        lo[need] -= step[need]
-        step[need] *= 2.0
     else:
-        raise NumericalError("could not bracket the per-period response inverse")
-
-    lo, hi = bisect_vec(lambda x: fnk_eval(params, n, k, x) - q, lo, hi, iters=60)
-    x = 0.5 * (lo + hi)
-    for _ in range(6):
-        r = fnk_eval(params, n, k, x) - q
-        x = np.clip(x - r / _fnk_derivative(params, n, k, x), lo, hi)
-
-    resid = np.abs(fnk_eval(params, n, k, x) - q)
-    if not np.all(resid <= 1e-12 * np.maximum(1.0, q)):
+        raise NumericalError("per-period response Newton did not settle in 10 steps")
+    # the check, scaled by max(1, q) so that nothing overflows
+    s, log_f = _log_abs_fnk(a, c, x0, x)
+    log_df = math.log(a / (1.0 - c)) - a * x + np.log((1.0 - c) - c * np.expm1(s))
+    log_m = np.maximum(log_q, 0.0)
+    resid = np.abs(np.sign(-s) * np.exp(log_f - log_m) - np.exp(log_q - log_m))
+    floor = 4.0 * np.finfo(float).eps * np.abs(x) * np.exp(np.minimum(log_df - log_m, 700.0))
+    if not np.all(resid <= 1e-12 + floor):
         raise NumericalError("per-period response inversion did not converge")
     return float(x[0]) if scalar else x
 
 
-def _finv_all(params: ModelParams, state: MarketState, n: int, lam: float) -> np.ndarray:
-    """fnk_inverse(k, e^{c^{2k} y} lam / alpha) for k = 0 .. m-2, vectorized."""
-    m, c = periods(params, n)
-    a, y = params.alpha, params.y
-    ks = np.arange(m - 1)
-    qs = np.exp(c ** (2 * ks) * y) * lam / a
-    return fnk_inverse(params, n, ks, qs)
+def _inv_log_slope(a: float, c: float, s):
+    """1 / (log F^n_k)'(x) for s <= 0; 0 at x0, where F = 0."""
+    em1 = np.expm1(s)
+    return em1 / (a * ((1.0 - c) - c * em1))
 
 
 def hn_eval(params: ModelParams, state: MarketState, lam: float, n: int) -> float:
@@ -215,18 +229,16 @@ def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
                       n: int) -> tuple[float, float]:
     """log E_n(lam) and d log E_n / d log lam, from one pass of response inverses.
 
-    x_k = fnk_inverse(k, q_k) with q_k = e^{c^{2k} y} lam / alpha, so
-    lam d x_k / d lam = q_k / F'(x_k).
+    F^n_k(x_k) is proportional to lam, so lam dx_k / dlam = 1 / (log F^n_k)'(x_k).
     """
     m, c = periods(params, n)
     d = derive(params, state)
-    a, y = params.alpha, params.y
-    ks = np.arange(m - 1)
-    finv = _finv_all(params, state, n, lam) if m > 1 else np.zeros(0)
+    a, ks = params.alpha, np.arange(m - 1)
+    finv = fnk_inverse(params, n, ks, np.exp(c ** (2 * ks) * params.y) * lam / a)
     log_e = (math.log(a) + a * (1.0 - c) * float(np.sum(finv)) - a * state.holdings
-             + d.z - c ** (2 * (m - 1)) * y)
-    q = np.exp(c ** (2 * ks) * y) * lam / a
-    return log_e, a * (1.0 - c) * float(np.sum(q / _fnk_derivative(params, n, ks, finv)))
+             + d.z - c ** (2 * (m - 1)) * params.y)
+    slope = _inv_log_slope(a, c, a * (1.0 - c) * (finv - fnk_zero(params, n, ks)))
+    return log_e, a * (1.0 - c) * float(np.sum(slope))
 
 
 def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
@@ -234,12 +246,13 @@ def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
     """Root of hn_eval, for any phi.
 
     solve_multiplier finds it inside [E_n(E_n(0)), E_n(0)]; the result
-    must leave |hn| <= tol max(1, lambda). With one period E_n does not
-    depend on lambda and the root is E_n(0).
+    must leave |hn| <= tol lambda (relative down to the smallest normal
+    float). With one period E_n does not depend on lambda and the root is
+    E_n(0).
     """
     lam = solve_multiplier(lambda lam: _log_e_with_slope(params, state, lam, n))
     resid = abs(hn_eval(params, state, lam, n))
-    if not resid <= tol * max(1.0, lam):
+    if not resid <= tol * max(lam, FLOAT_TINY):
         raise NumericalError(f"discrete multiplier residual {resid:.3e} above {tol:.1e}")
     return lam
 
@@ -255,16 +268,15 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float,
     """
     m, c = periods(params, n)
     d = derive(params, state)
-    a = params.alpha
-    phi = state.holdings
+    a, phi = params.alpha, state.holdings
     if m == 1:
         psi = np.array([phi])
     else:
-        finv = _finv_all(params, state, n, lam)
+        ks = np.arange(m - 1)
+        finv = fnk_inverse(params, n, ks, np.exp(c ** (2 * ks) * params.y) * lam / a)
         psi = np.empty(m)
         psi[0] = finv[0] + d.z / a
-        for k in range(1, m - 1):
-            psi[k] = finv[k] - c * finv[k - 1]
+        psi[1:m - 1] = finv[1:] - c * finv[:-1]
         tail = (1.0 - c) * float(np.sum(finv[:m - 2])) if m > 2 else 0.0
         psi[m - 1] = phi - tail - finv[m - 2] - d.z / a
     if check:

@@ -6,8 +6,7 @@ driver just doubles the panel count until two successive estimates agree.
 The two equations with exact solutions (the price-response inverse and
 the zero-volatility block) go through lambert_w0. Every other scalar root
 is found by find_root, a Newton iteration that falls back to bisection
-whenever a step would leave the shrinking sign-change bracket; bisect_vec
-inverts the discrete per-period responses elementwise.
+whenever a step would leave the shrinking sign-change bracket.
 Both multiplier equations read lambda = E(lambda) with E positive and
 decreasing, so the root lies in [E(E(0)), E(0)]; solve_multiplier runs
 find_root on that bracket in log lambda, where the equation is nearly
@@ -25,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# below the smallest normal float a value has fewer than 53 significant bits
+FLOAT_TINY = sys.float_info.min
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -78,25 +79,6 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     raise NumericalError(f"quadrature did not settle within {max_panels} panels")
 
 
-def bisect_vec(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
-               iters: int = 80) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise bisection; requires sign(f(lo)) != sign(f(hi)) per element.
-
-    Returns the final (lo, hi) bracket so callers can polish inside it.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    f_lo = np.asarray(f(lo), dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = np.asarray(f(mid), dtype=float)
-        take_lo = np.sign(f_mid) == np.sign(f_lo)
-        lo = np.where(take_lo, mid, lo)
-        f_lo = np.where(take_lo, f_mid, f_lo)
-        hi = np.where(take_lo, hi, mid)
-    return lo, hi
-
-
 def lambert_w0(x):
     """Principal branch W0 of the Lambert W function, w e^w = x, for x >= -1/e.
 
@@ -129,19 +111,22 @@ def lambert_w0(x):
     return float(w) if w.ndim == 0 else w
 
 
-def lambert_w0_exp(log_x: float) -> float:
-    """W0(e^log_x), also where e^log_x is beyond the float range.
+def lambert_w0_exp(log_x):
+    """W0(e^log_x), also where e^log_x is beyond the float range; elementwise.
 
-    Below log_x = 700 this is lambert_w0(e^log_x). Above, W0 solves
-    w + log w = log_x; Newton from log_x - log log_x is off by less than
-    1e-2 there and four steps reach rounding.
+    Below log_x = 700 this is lambert_w0(e^log_x) (0 at log_x = -inf).
+    Above, W0 solves w + log w = log_x; Newton from log_x - log log_x is
+    off by less than 1e-2 there and four steps reach rounding.
     """
-    if log_x < 700.0:
-        return float(lambert_w0(math.exp(log_x)))
-    w = log_x - math.log(log_x)
+    log_x = np.asarray(log_x, dtype=float)
+    big = log_x >= 700.0
+    w = np.array(lambert_w0(np.exp(np.minimum(log_x, 700.0))), dtype=float)
+    lb = log_x[big]
+    v = lb - np.log(lb)
     for _ in range(4):
-        w -= (w + math.log(w) - log_x) * w / (w + 1.0)
-    return w
+        v -= (v + np.log(v) - lb) * v / (v + 1.0)
+    w[big] = v
+    return float(w) if w.ndim == 0 else w
 
 
 def find_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: float,

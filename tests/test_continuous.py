@@ -84,6 +84,18 @@ def test_h_beyond_float_range_is_numerical_error():
         solve_lambda_star(params, state, extended=True)
 
 
+def test_multiplier_residual_check_is_relative(monkeypatch):
+    # lambda* is about 2.2e-11, so twice it is 100% off while |H| stays
+    # below an absolute 1e-10
+    params = ModelParams(alpha=2.0, beta=0.01, sigma=0.5, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=10.0, price=math.exp(1.0))
+    lam = continuous.solve_lambda_star(params, state, extended=True)
+    assert lam < 1e-10
+    monkeypatch.setattr(continuous, "solve_multiplier", lambda log_e: 2.0 * lam)
+    with pytest.raises(NumericalError, match="residual"):
+        continuous.solve_lambda_star(params, state, extended=True)
+
+
 def test_eq9_style_bound_holds_for_round_trips(ou_params):
     # for phi <= z/alpha the multiplier stays below alpha e^{-y} P((a phi - z)/(a(1+bt)))
     state = MarketState(cash=0.0, holdings=0.4, price=E)  # phi < z/alpha = 1

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_large_instance
-from ouexec import ConfigError, MarketState, ModelParams, NumericalError
+from ouexec import ConfigError, MarketState, ModelParams, NumericalError, discrete
 from ouexec.discrete import (brute_force, discrete_value, fnk_eval,
                              fnk_inverse, fnk_zero, gradient, hn_eval,
                              objective, periods, recover_psi, solve_lambda_hat)
@@ -82,6 +85,73 @@ def test_fnk_decreasing_and_inverse_roundtrip(ou_params):
         x = fnk_inverse(ou_params, n, k, q)
         back = fnk_eval(ou_params, n, k, x)
         assert back == pytest.approx(q, rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=200)
+@given(log_alpha=st.floats(-2.0, 2.0), log_bn=st.floats(-5.0, 4.0),
+       n=st.sampled_from([1, 2, 10, 100]), k=st.integers(0, 99), sigma=st.floats(0.0, 1.5),
+       qs=st.lists(st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)),
+                   min_size=1, max_size=6))
+def test_fnk_inverse_property(log_alpha, log_bn, n, k, sigma, qs):
+    # beta/n spans 1e-5 .. 1e4, so c runs from 1 - 1e-5 down to 0.0
+    params = ModelParams(alpha=10.0 ** log_alpha, beta=10.0 ** log_bn * n, sigma=sigma,
+                         fundamental_log=0.0, horizon=1.0)
+    k %= n
+    q = np.sort(np.array(qs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x0 = fnk_zero(params, n, k)
+        x = fnk_inverse(params, n, k, q)
+        f = fnk_eval(params, n, k, x)
+    assert math.isfinite(x0)
+    assert np.all(x <= x0)
+    assert np.all(x[q == 0.0] == x0)
+    # |F(x) - q| within 1e-12 max(1, q), or within the change of F over a
+    # few float steps of x where no float meets that; past the float range
+    # that change is inf
+    with np.errstate(over="ignore"):
+        df = np.abs(fnk_eval(params, n, k, np.nextafter(x, -np.inf)) - f)
+    assert np.all(np.abs(f - q) <= 1e-12 * np.maximum(1.0, q) + 8.0 * df)
+    # nonincreasing in q, up to rounding of x = x0 - (x0 - x)
+    assert np.all(np.diff(x) <= 4.0 * np.spacing(max(abs(x0), float(np.max(np.abs(x))))))
+
+
+def test_inversion_at_large_response_terms():
+    # the two terms of F^n_k are about e^{-alpha x}/(1 - c) = 1e8 here; in the
+    # unfactored form their rounding alone failed the inversion check at q = 0
+    params = ModelParams(alpha=1.0, beta=0.01, sigma=0.5, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=1.0, price=math.exp(5.0))
+    lam = solve_lambda_hat(params, state, 10)
+    assert abs(hn_eval(params, state, lam, 10)) <= 1e-10 * lam
+    psi = recover_psi(params, state, 10, lam, check=True)
+    assert float(np.sum(psi)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_decay_factor_underflow():
+    # beta/n = 1000: c = e^{-1000} is 0.0 in floats, so x0 must not use log c
+    params = ModelParams(alpha=1.0, beta=2000.0, sigma=0.5, fundamental_log=0.0, horizon=1.0)
+    assert periods(params, 2)[1] == 0.0
+    assert math.isfinite(fnk_zero(params, 2, 0))
+    state = MarketState(cash=0.0, holdings=1000.0, price=math.exp(1.0))
+    lam = solve_lambda_hat(params, state, 2)
+    assert lam > 0.0 and abs(hn_eval(params, state, lam, 2)) <= 1e-10 * lam
+    psi = recover_psi(params, state, 2, lam)
+    assert float(np.sum(psi)) == pytest.approx(1000.0, rel=1e-14)
+    # with phi = 1, E_n(0) = e^1000 is beyond the float range
+    with pytest.raises(NumericalError):
+        solve_lambda_hat(params, MarketState(cash=0.0, holdings=1.0, price=math.exp(1.0)), 2)
+
+
+def test_multiplier_residual_check_is_relative(monkeypatch):
+    # lambda_hat is about 2.2e-11, so twice it is 100% off while |hn| stays
+    # below an absolute 1e-10
+    params = ModelParams(alpha=2.0, beta=0.01, sigma=0.5, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=10.0, price=math.exp(1.0))
+    lam = solve_lambda_hat(params, state, 10)
+    assert lam < 1e-10
+    monkeypatch.setattr(discrete, "solve_multiplier", lambda log_e: 2.0 * lam)
+    with pytest.raises(NumericalError, match="residual"):
+        solve_lambda_hat(params, state, 10)
 
 
 def test_hn_root_and_bracket_modes(ou_params, ref_state):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ouexec import (ConfigError, MarketState, ModelParams, NumericalError,
                     continuous, discrete)
-from ouexec.numerics import (adaptive_quad, bisect_vec, find_root, fixed_quad,
+from ouexec.numerics import (adaptive_quad, find_root, fixed_quad,
                              gl_nodes, lambert_w0, lambert_w0_exp,
                              solve_multiplier)
 
@@ -104,16 +105,6 @@ def test_find_root_stops_at_the_noise_floor():
     assert len(seen) <= 5
 
 
-def test_bisect_vec_elementwise():
-    targets = np.array([1.0, 2.0, 3.0, 10.0])
-    f = lambda x: x * x - targets
-    lo = np.zeros(4)
-    hi = np.full(4, 4.0)
-    lo2, hi2 = bisect_vec(f, lo, hi, iters=60)
-    roots = 0.5 * (lo2 + hi2)
-    assert roots == pytest.approx(np.sqrt(targets), rel=1e-12)
-
-
 def test_lambert_w0_exact_points():
     assert lambert_w0(-math.exp(-1.0)) == -1.0
     assert lambert_w0(0.0) == 0.0
@@ -147,6 +138,14 @@ def test_lambert_w0_exp_solves_w_plus_log_w(log_x):
         w = lambert_w0_exp(log_x)
         assert w > 0.0 and math.isfinite(w)
         assert w + math.log(w) == pytest.approx(log_x, rel=1e-13, abs=1e-13)
+
+
+def test_lambert_w0_exp_is_elementwise():
+    log_x = np.array([-np.inf, -800.0, 0.0, 699.0, 700.0, 1e6])
+    w = lambert_w0_exp(log_x)
+    assert w.shape == log_x.shape
+    assert w[0] == 0.0
+    assert w.tolist() == [lambert_w0_exp(v) for v in log_x]
 
 
 # ------------------------------------------------------- the multiplier solve
@@ -198,4 +197,4 @@ def test_multiplier_solves_over_the_sweep_domain(log_alpha, log_beta, sigma, t, 
                 continue
             e0 = mismatch(0.0)
             assert 0.0 <= lam <= e0 * (1.0 + 1e-14)
-            assert abs(mismatch(lam)) <= 1e-10 * max(1.0, lam)
+            assert abs(mismatch(lam)) <= 1e-10 * max(lam, sys.float_info.min)
