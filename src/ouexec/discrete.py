@@ -100,7 +100,7 @@ def gradient(params: ModelParams, state: MarketState, x, n: int) -> np.ndarray:
     s_k = acc + x  # impact level right after the period-k sale
     ck = c ** np.arange(m)
     # grad_k = c grad_{k+1} + a (1 - c) e^{-c^{2k} y} F^n_k(S_k - c^k z / a)
-    terms = (a * (1.0 - c) * np.exp(-ck[:-1] ** 2 * y)
+    terms = (a * _one_minus_c(params, n) * np.exp(-ck[:-1] ** 2 * y)
              * fnk_eval(params, n, np.arange(m - 1), s_k[:-1] - ck[:-1] * d.z / a))
     grad = np.empty(m)
     grad[m - 1] = a * math.exp(ck[-1] * d.z - ck[-1] ** 2 * y - a * s_k[m - 1])
@@ -123,42 +123,48 @@ def _impact(params: ModelParams, x, n: int):
     return m, c, x, acc
 
 
+def _one_minus_c(params: ModelParams, n: int) -> float:
+    """1 - c = -expm1(-beta/n), exact to rounding; 1.0 - c would carry c's rounding."""
+    return -math.expm1(-params.beta / n)
+
+
 def _response(params: ModelParams, n: int, k):
-    """alpha, c and the zero x0 = (beta/n - c^{2k} (1 - c^2) y) / (alpha (1 - c)) of F^n_k.
+    """alpha, c, u = 1 - c and the zero x0 = (beta/n - c^{2k} (1 - c^2) y) / (alpha u) of F^n_k.
 
     -log c is beta/n exactly, so x0 stays finite where c underflows to 0.
+    1 - c^2 is -expm1(-2 beta/n), as exact as u.
     """
     _, c = periods(params, n)
-    a = params.alpha
+    a, u = params.alpha, _one_minus_c(params, n)
     if a <= 0.0 or c == 1.0:
         raise ConfigError("F^n_k needs alpha > 0 and a decay factor c = e^{-beta/n} below 1")
     # numpy's scalar and array powers can differ in the last bit: use one for any k
-    g = c ** (2 * np.atleast_1d(k)) * (1.0 - c * c) * params.y
-    return a, c, ((params.beta / n - g) / (a * (1.0 - c))).reshape(np.shape(k))
+    g = c ** (2 * np.atleast_1d(k)) * -math.expm1(-2.0 * params.beta / n) * params.y
+    return a, c, u, ((params.beta / n - g) / (a * u)).reshape(np.shape(k))
 
 
-def _log_abs_fnk(a: float, c: float, x0, x):
-    """s = alpha (1 - c)(x - x0) and log |F^n_k(x)|, for any x.
+def _log_abs_fnk(a: float, u: float, x0, x):
+    """s = alpha u (x - x0) and log |F^n_k(x)|, for any x; u = 1 - c.
 
-    F = e^{-alpha x} (-expm1(s)) / (1 - c): no cancellation, F(x0) = 0 exactly.
+    F = e^{-alpha x} (-expm1(s)) / u: no cancellation, F(x0) = 0 exactly.
     """
-    s = a * (1.0 - c) * (x - x0)
+    s = a * u * (x - x0)
     gap = -np.expm1(-np.abs(s))
     log_gap = np.log(gap, out=np.full(np.shape(gap), -np.inf), where=gap > 0.0)
-    return s, log_gap + np.maximum(s, 0.0) - a * x - math.log(1.0 - c)
+    return s, log_gap + np.maximum(s, 0.0) - a * x - math.log(u)
 
 
 def fnk_eval(params: ModelParams, n: int, k, x):
     """Per-period price response F^n_k, the discrete analogue of P."""
-    a, c, x0 = _response(params, n, k)
-    s, log_f = _log_abs_fnk(a, c, x0, np.asarray(x, dtype=float))
+    a, _, u, x0 = _response(params, n, k)
+    s, log_f = _log_abs_fnk(a, u, x0, np.asarray(x, dtype=float))
     out = np.sign(-s) * np.exp(log_f)
     return float(out) if out.ndim == 0 else out
 
 
 def fnk_zero(params: ModelParams, n: int, k):
     """Right endpoint of the domain on which F^n_k is inverted (F = 0 there)."""
-    x0 = _response(params, n, k)[2]
+    x0 = _response(params, n, k)[3]
     return float(x0) if np.ndim(x0) == 0 else x0
 
 
@@ -179,15 +185,15 @@ def fnk_inverse(params: ModelParams, n: int, k, q):
     if np.any(q < -1e-15):
         raise ConfigError("F^n_k only takes nonnegative values on its domain")
     q = np.maximum(q, 0.0)
-    a, c, x0 = _response(params, n, k)
+    a, c, u, x0 = _response(params, n, k)
     log_q = np.log(q, out=np.full(q.shape, -np.inf), where=q > 0.0)
     x = x0 - lambert_w0_exp(log_q + a * x0) / a
     live = x < x0
     last = np.full(q.shape, np.inf)
     for _ in range(10):
-        s, log_f = _log_abs_fnk(a, c, x0[live], x[live])
+        s, log_f = _log_abs_fnk(a, u, x0[live], x[live])
         miss = log_f - log_q[live]
-        step = miss * _inv_log_slope(a, c, s)
+        step = miss * _inv_log_slope(a, c, u, s)
         size = np.abs(step)
         noise = size > 0.5 * last[live]
         x[live] = np.where(noise, x[live], x[live] - step)
@@ -199,8 +205,8 @@ def fnk_inverse(params: ModelParams, n: int, k, q):
     else:
         raise NumericalError("per-period response Newton did not settle in 10 steps")
     # the check, scaled by max(1, q) so that nothing overflows
-    s, log_f = _log_abs_fnk(a, c, x0, x)
-    log_df = math.log(a / (1.0 - c)) - a * x + np.log((1.0 - c) - c * np.expm1(s))
+    s, log_f = _log_abs_fnk(a, u, x0, x)
+    log_df = math.log(a / u) - a * x + np.log(u - c * np.expm1(s))
     log_m = np.maximum(log_q, 0.0)
     resid = np.abs(np.sign(-s) * np.exp(log_f - log_m) - np.exp(log_q - log_m))
     floor = 4.0 * np.finfo(float).eps * np.abs(x) * np.exp(np.minimum(log_df - log_m, 700.0))
@@ -209,10 +215,10 @@ def fnk_inverse(params: ModelParams, n: int, k, q):
     return float(x[0]) if scalar else x
 
 
-def _inv_log_slope(a: float, c: float, s):
-    """1 / (log F^n_k)'(x) for s <= 0; 0 at x0, where F = 0."""
+def _inv_log_slope(a: float, c: float, u: float, s):
+    """1 / (log F^n_k)'(x) for s <= 0, u = 1 - c; 0 at x0, where F = 0."""
     em1 = np.expm1(s)
-    return em1 / (a * ((1.0 - c) - c * em1))
+    return em1 / (a * (u - c * em1))
 
 
 def hn_eval(params: ModelParams, state: MarketState, lam: float, n: int) -> float:
@@ -233,12 +239,12 @@ def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
     """
     m, c = periods(params, n)
     d = derive(params, state)
-    a, ks = params.alpha, np.arange(m - 1)
+    a, u, ks = params.alpha, _one_minus_c(params, n), np.arange(m - 1)
     finv = fnk_inverse(params, n, ks, np.exp(c ** (2 * ks) * params.y) * lam / a)
-    log_e = (math.log(a) + a * (1.0 - c) * float(np.sum(finv)) - a * state.holdings
+    log_e = (math.log(a) + a * u * float(np.sum(finv)) - a * state.holdings
              + d.z - c ** (2 * (m - 1)) * params.y)
-    slope = _inv_log_slope(a, c, a * (1.0 - c) * (finv - fnk_zero(params, n, ks)))
-    return log_e, a * (1.0 - c) * float(np.sum(slope))
+    slope = _inv_log_slope(a, c, u, a * u * (finv - fnk_zero(params, n, ks)))
+    return log_e, a * u * float(np.sum(slope))
 
 
 def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
@@ -277,7 +283,7 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float,
         psi = np.empty(m)
         psi[0] = finv[0] + d.z / a
         psi[1:m - 1] = finv[1:] - c * finv[:-1]
-        tail = (1.0 - c) * float(np.sum(finv[:m - 2])) if m > 2 else 0.0
+        tail = _one_minus_c(params, n) * float(np.sum(finv[:m - 2])) if m > 2 else 0.0
         psi[m - 1] = phi - tail - finv[m - 2] - d.z / a
     if check:
         resid = float(np.max(np.abs(gradient(params, state, psi, n) - lam)))

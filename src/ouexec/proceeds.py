@@ -7,10 +7,17 @@ expected terminal cash is
 
 plus a term exp(...) * (1 - e^{-alpha p})/alpha for each block of size p,
 where D_r = alpha * int_0^r e^{-b(r-v)} d eta_v is the accumulated impact
-displacement of the log price, decayed at the reversion speed. D obeys a
-one-sided linear ODE, so on every cell where the rate is constant it has a
-closed form, and the outer integrand is smooth there: one Gauss-Legendre
-rule per cell is exact to machine accuracy for practical grids.
+displacement of the log price, decayed at the reversion speed.
+
+The cells, split at interior blocks, are segments of constant rate zeta_j.
+On a segment D solves D' = alpha zeta_j - beta D, so across one of length
+l_j it follows the recurrence D <- c_j D + alpha zeta_j (1 - c_j)/beta,
+c_j = e^{-beta l_j}, and a block of p adds alpha p. One scalar pass of that
+recurrence gives D at every segment start and before every block; inside
+a segment D is closed form and the outer integrand smooth, so one
+Gauss-Legendre rule per segment, evaluated for all segments in one array
+expression, is exact to machine accuracy for practical grids. Price
+samples and the impact profile read D from the same segment table.
 """
 
 from __future__ import annotations
@@ -38,93 +45,80 @@ class ProceedsBreakdown:
     total: float
 
 
-def _scan(params: ModelParams, state: MarketState, strategy: strat.ExecutionStrategy,
-          sample_times: np.ndarray | None, order: int = 20):
-    """Single pass over the strategy timeline.
+def _impact_path(params: ModelParams, strategy: strat.ExecutionStrategy):
+    """Segment table of the impact displacement D.
 
-    Returns (initial, gradual, terminal) in units of e^{F+y} * shares-value
-    and, if sample_times is given (sorted ascending), the expected price at
-    those times. Prices at an exact block time are post-block.
+    A block applies at time 0 or at a cell edge within _TOL of it, or
+    together with an earlier block within _TOL before it; otherwise it
+    splits its cell. Returns the event times (segment starts, then the
+    horizon), the rate on each segment, D after the blocks at each event
+    and D just before each block.
     """
-    q = derive(params, state)
     alpha, beta = params.alpha, params.beta
-    t = strategy.horizon
-    y, z = q.y, q.z
-    scale = math.exp(params.fundamental_log + y)
-    nodes, weights = gl_nodes(order)
+    edges = np.arange(strategy.cells + 1) * strategy.cell_width
+    edges[-1] = strategy.horizon
+    ends = edges[1:] + _TOL
+    anchors, splits, anchor = [], [], 0.0
+    for r, _ in strategy.impulses:
+        if r > anchor + _TOL:
+            b = float(edges[np.searchsorted(ends, r) + 1])
+            if r < b - _TOL:
+                anchor = r
+                splits.append(r)
+            else:
+                anchor = b
+        anchors.append(anchor)
+    # a split in cell i goes after edge i and takes the cell's rate
+    cut = np.searchsorted(edges, splits)
+    events = np.insert(edges, cut, splits)
+    rates = np.insert(strategy.density, cut, strategy.density[cut - 1])
+    # a row per event and, just before it, a zero-length row per block there
+    ev = np.searchsorted(events, anchors)
+    length = np.insert(np.append(np.diff(events), 0.0), ev, 0.0)
+    rate = np.insert(np.append(rates, 0.0), ev, 0.0)
+    jump = np.insert(np.zeros(events.size), ev, [alpha * p for _, p in strategy.impulses])
+    before, d = [], 0.0
+    for span, zeta, j in zip(length.tolist(), rate.tolist(), jump.tolist()):
+        before.append(d)
+        # math.exp, not numpy's: 1 - c amplifies a last-bit difference in c
+        c = math.exp(-beta * span)
+        d = (d + j) * c + alpha * zeta * (1.0 - c) / beta
+    before = np.array(before)
+    is_block = np.zeros(before.size, dtype=bool)
+    is_block[ev + np.arange(ev.size)] = True  # np.insert put block k at ev[k] + k
+    return events, rates, before[~is_block], before[is_block]
 
-    samples = None
-    s_idx = 0
-    if sample_times is not None:
-        samples = np.empty(len(sample_times))
 
-    def price(r, d):
-        return scale * np.exp(np.exp(-beta * r) * z - np.exp(-2.0 * beta * r) * y - d)
+def _impact_at(params: ModelParams, path, times: np.ndarray) -> np.ndarray:
+    """D at checked times; post-block at an event, decayed from the latest event before.
 
-    imps = strategy.impulses
-    imp_idx = 0
-    d = 0.0
-    parts = [0.0, 0.0, 0.0]  # initial, gradual, terminal
+    A time within _TOL of an event reads that event's D, extended by the
+    rate of the segment ending there.
+    """
+    alpha, beta = params.alpha, params.beta
+    events, rates, d_events, _ = path
+    k = np.searchsorted(events + _TOL, times)
+    at = np.where(times > events[k] - _TOL, k, np.maximum(k - 1, 0))
+    rate = np.append(0.0, rates)[k]
+    u = np.maximum(times - events[at], 0.0)
+    decay = np.array([math.exp(-beta * v) for v in u.tolist()])  # as in _impact_path
+    return d_events[at] * decay + alpha * rate * (1.0 - decay) / beta
 
-    def apply_impulses(upto):
-        nonlocal imp_idx, d
-        while imp_idx < len(imps) and imps[imp_idx][0] <= upto + _TOL:
-            r, p = imps[imp_idx]
-            slot = 0 if r <= _TOL else (2 if r >= t - _TOL else 1)
-            parts[slot] += float(price(r, d)) * block_factor(p, alpha)
-            d += alpha * p
-            imp_idx += 1
 
-    def take_samples(lo, hi, d_at_lo, anchor, inclusive):
-        # expected price at sample times in (lo, hi) (or (lo, hi]) given the
-        # displacement d_at_lo at time anchor and rate zeta on the interval
-        nonlocal s_idx
-        while samples is not None and s_idx < len(sample_times):
-            ts = sample_times[s_idx]
-            if ts > hi + (_TOL if inclusive else -_TOL):
-                break
-            u = max(ts - anchor, 0.0)
-            decay = math.exp(-beta * u)
-            d_ts = d_at_lo * decay + alpha * zeta_cur * (1.0 - decay) / beta
-            samples[s_idx] = float(price(ts, d_ts))
-            s_idx += 1
+def _expected_price(params: ModelParams, state: MarketState, r, d):
+    """E[S_r] = e^{F+y} exp(e^{-beta r} z - e^{-2 beta r} y - D_r) at displacement d."""
+    q = derive(params, state)
+    beta = params.beta
+    return math.exp(params.fundamental_log + q.y) * np.exp(
+        np.exp(-beta * r) * q.z - np.exp(-2.0 * beta * r) * q.y - d)
 
-    zeta_cur = 0.0
-    apply_impulses(0.0)
-    take_samples(-1.0, 0.0, d, 0.0, inclusive=True)
 
-    w_cell = strategy.cell_width
-    for i in range(strategy.cells):
-        a = i * w_cell
-        b = t if i == strategy.cells - 1 else (i + 1) * w_cell
-        zeta_cur = float(strategy.density[i])
-        pos = a
-        while True:
-            nxt = b
-            if imp_idx < len(imps) and imps[imp_idx][0] < b - _TOL:
-                nxt = max(imps[imp_idx][0], pos)
-            span = nxt - pos
-            if span > _TOL:
-                take_samples(pos, nxt, d, pos, inclusive=False)
-                decay_u = np.exp(-beta * (0.5 * span) * (nodes + 1.0))
-                if zeta_cur != 0.0:
-                    d_r = d * decay_u + alpha * zeta_cur * (1.0 - decay_u) / beta
-                    r = pos + 0.5 * span * (nodes + 1.0)
-                    vals = zeta_cur * price(r, d_r)
-                    parts[1] += 0.5 * span * float(np.dot(weights, vals))
-                end_decay = math.exp(-beta * span)
-                d = d * end_decay + alpha * zeta_cur * (1.0 - end_decay) / beta
-            pos = nxt
-            if pos >= b - _TOL:
-                break
-            apply_impulses(pos)
-            take_samples(pos - 1.0, pos, d, pos, inclusive=True)
-        apply_impulses(b if i < strategy.cells - 1 else t)
-        take_samples(b - 1.0, b, d, b, inclusive=True)
-
-    if samples is not None and s_idx < len(sample_times):
-        raise ConfigError("sample times must lie in [0, horizon] and be sorted")
-    return parts, samples
+def _check_times(times, horizon: float) -> np.ndarray:
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) >= 0.0)
+            and np.all(times >= -_TOL) and np.all(times <= horizon + _TOL)):
+        raise ConfigError("times must be finite, sorted ascending and in [0, horizon]")
+    return times
 
 
 def _check_admissible(state: MarketState, strategy: strat.ExecutionStrategy):
@@ -137,7 +131,22 @@ def proceeds_breakdown(params: ModelParams, state: MarketState,
                        strategy: strat.ExecutionStrategy, order: int = 20) -> ProceedsBreakdown:
     """Expected proceeds split into initial block / gradual / terminal block."""
     _check_admissible(state, strategy)
-    parts, _ = _scan(params, state, strategy, None, order=order)
+    alpha, beta, t = params.alpha, params.beta, strategy.horizon
+    events, rates, d_events, d_blocks = _impact_path(params, strategy)
+    parts = [0.0, 0.0, 0.0]
+    r_blocks = np.array([r for r, _ in strategy.impulses])
+    prices = _expected_price(params, state, r_blocks, d_blocks).tolist()
+    for (r, p), s in zip(strategy.impulses, prices):
+        parts[0 if r <= _TOL else (2 if r >= t - _TOL else 1)] += s * block_factor(p, alpha)
+    live = rates != 0.0
+    nodes, weights = gl_nodes(order)
+    x = nodes + 1.0
+    half = 0.5 * np.diff(events)[live]
+    zeta = rates[live][:, None]
+    decay = np.exp((-beta * half)[:, None] * x)
+    d_r = d_events[:-1][live][:, None] * decay + alpha * zeta * (1.0 - decay) / beta
+    r = events[:-1][live][:, None] + half[:, None] * x
+    parts[1] += float(np.sum(half * ((zeta * _expected_price(params, state, r, d_r)) @ weights)))
     return ProceedsBreakdown(
         initial_block_value=parts[0],
         gradual_value=parts[1],
@@ -153,13 +162,11 @@ def expected_proceeds(params: ModelParams, state: MarketState,
 
 
 def expected_price_path(params: ModelParams, state: MarketState,
-                        strategy: strat.ExecutionStrategy, times, order: int = 20) -> np.ndarray:
-    """E[S_r] at the given (sorted) times under the strategy's impact path."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(np.diff(times) < 0.0):
-        raise ConfigError("times must be sorted ascending")
-    _, samples = _scan(params, state, strategy, times, order=order)
-    return samples
+                        strategy: strat.ExecutionStrategy, times) -> np.ndarray:
+    """E[S_r] at the given sorted times in [0, horizon]; post-block at a block's time."""
+    times = _check_times(times, strategy.horizon)
+    d = _impact_at(params, _impact_path(params, strategy), times)
+    return _expected_price(params, state, times, d)
 
 
 def impact_decay_profile(params: ModelParams, strategy: strat.ExecutionStrategy, r):
@@ -167,43 +174,10 @@ def impact_decay_profile(params: ModelParams, strategy: strat.ExecutionStrategy,
 
     Past sales push the log price down; mean reversion pulls the
     displacement back to zero at speed beta. Accepts a scalar time or a
-    sorted array of times.
+    sorted array of times in [0, horizon]; a block's own time reads the
+    post-block value.
     """
     scalar = np.isscalar(r)
-    times = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(np.diff(times) < 0.0):
-        raise ConfigError("times must be sorted ascending")
-    if np.any(times < -_TOL) or np.any(times > strategy.horizon + _TOL):
-        raise ConfigError("times must lie in [0, horizon]")
-    alpha, beta = params.alpha, params.beta
-    out = np.empty_like(times)
-
-    events = []  # (time, kind, amount): kind 0 = block, 1 = rate change
-    for rr, p in strategy.impulses:
-        events.append((rr, 0, p))
-    w = strategy.cell_width
-    for i in range(strategy.cells):
-        events.append((i * w, 1, float(strategy.density[i])))
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    d = 0.0
-    pos = 0.0
-    zeta = 0.0
-    e_idx = 0
-    for k, ts in enumerate(times):
-        while e_idx < len(events) and events[e_idx][0] <= ts + _TOL:
-            ev_t, kind, amount = events[e_idx]
-            ev_t = min(max(ev_t, pos), strategy.horizon)
-            decay = math.exp(-beta * (ev_t - pos))
-            d = d * decay + alpha * zeta * (1.0 - decay) / beta
-            pos = ev_t
-            if kind == 0:
-                d += alpha * amount
-            else:
-                zeta = amount
-            e_idx += 1
-        decay = math.exp(-beta * (ts - pos))
-        d = d * decay + alpha * zeta * (1.0 - decay) / beta
-        pos = max(pos, ts)
-        out[k] = d
+    times = _check_times(r, strategy.horizon)
+    out = _impact_at(params, _impact_path(params, strategy), times)
     return float(out[0]) if scalar else out

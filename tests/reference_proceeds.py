@@ -1,0 +1,117 @@
+"""Reference implementation of the exact evaluator: one Python pass over the cells.
+
+This is the per-cell loop the vectorized evaluator in ``ouexec.proceeds``
+replaced. It walks the cells in time order, splits a cell at each interior
+block, applies the blocks as it reaches them and integrates each piece
+with its own Gauss-Legendre rule. The tests compare the two; only the
+summation order differs between them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ouexec.model import block_factor, derive
+from ouexec.numerics import gl_nodes
+
+_TOL = 1e-12
+
+
+def scan(params, state, strategy, sample_times=None, order: int = 20):
+    """Single pass over the strategy timeline.
+
+    Returns [initial, gradual, terminal] block and gradual proceeds (without
+    starting cash), the sum of the magnitudes of the terms added into them
+    (the scale of their rounding error), and, if sample_times is given
+    (sorted ascending, in [0, horizon]), the expected price and the impact
+    displacement D at those times. Values at an exact block time are
+    post-block.
+    """
+    q = derive(params, state)
+    alpha, beta = params.alpha, params.beta
+    t = strategy.horizon
+    y, z = q.y, q.z
+    scale = math.exp(params.fundamental_log + y)
+    nodes, weights = gl_nodes(order)
+
+    samples = impacts = None
+    s_idx = 0
+    if sample_times is not None:
+        samples = np.empty(len(sample_times))
+        impacts = np.empty(len(sample_times))
+
+    def price(r, d):
+        return scale * np.exp(np.exp(-beta * r) * z - np.exp(-2.0 * beta * r) * y - d)
+
+    imps = strategy.impulses
+    imp_idx = 0
+    d = 0.0
+    parts = [0.0, 0.0, 0.0]  # initial, gradual, terminal
+    magnitude = 0.0
+
+    def apply_impulses(upto):
+        nonlocal imp_idx, d, magnitude
+        while imp_idx < len(imps) and imps[imp_idx][0] <= upto + _TOL:
+            r, p = imps[imp_idx]
+            slot = 0 if r <= _TOL else (2 if r >= t - _TOL else 1)
+            term = float(price(r, d)) * block_factor(p, alpha)
+            parts[slot] += term
+            magnitude += abs(term)
+            d += alpha * p
+            imp_idx += 1
+
+    def take_samples(lo, hi, d_at_lo, anchor, inclusive):
+        # expected price at sample times in (lo, hi) (or (lo, hi]) given the
+        # displacement d_at_lo at time anchor and rate zeta on the interval
+        nonlocal s_idx
+        while samples is not None and s_idx < len(sample_times):
+            ts = sample_times[s_idx]
+            if ts > hi + (_TOL if inclusive else -_TOL):
+                break
+            u = max(ts - anchor, 0.0)
+            decay = math.exp(-beta * u)
+            d_ts = d_at_lo * decay + alpha * zeta_cur * (1.0 - decay) / beta
+            samples[s_idx] = float(price(ts, d_ts))
+            impacts[s_idx] = d_ts
+            s_idx += 1
+
+    zeta_cur = 0.0
+    apply_impulses(0.0)
+    take_samples(-1.0, 0.0, d, 0.0, inclusive=True)
+
+    w_cell = strategy.cell_width
+    for i in range(strategy.cells):
+        a = i * w_cell
+        b = t if i == strategy.cells - 1 else (i + 1) * w_cell
+        zeta_cur = float(strategy.density[i])
+        pos = a
+        while True:
+            nxt = b
+            if imp_idx < len(imps) and imps[imp_idx][0] < b - _TOL:
+                nxt = max(imps[imp_idx][0], pos)
+            span = nxt - pos
+            if span > _TOL:
+                take_samples(pos, nxt, d, pos, inclusive=False)
+                decay_u = np.exp(-beta * (0.5 * span) * (nodes + 1.0))
+                if zeta_cur != 0.0:
+                    d_r = d * decay_u + alpha * zeta_cur * (1.0 - decay_u) / beta
+                    r = pos + 0.5 * span * (nodes + 1.0)
+                    vals = zeta_cur * price(r, d_r)
+                    term = 0.5 * span * float(np.dot(weights, vals))
+                    parts[1] += term
+                    magnitude += abs(term)
+                end_decay = math.exp(-beta * span)
+                d = d * end_decay + alpha * zeta_cur * (1.0 - end_decay) / beta
+            pos = nxt
+            if pos >= b - _TOL:
+                break
+            apply_impulses(pos)
+            take_samples(pos - 1.0, pos, d, pos, inclusive=True)
+        apply_impulses(b if i < strategy.cells - 1 else t)
+        take_samples(b - 1.0, b, d, b, inclusive=True)
+
+    if samples is not None and s_idx < len(sample_times):
+        raise ValueError("sample times must lie in [0, horizon] and be sorted")
+    return parts, magnitude, samples, impacts

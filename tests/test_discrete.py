@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,18 @@ def test_inversion_at_large_response_terms():
     assert abs(hn_eval(params, state, lam, 10)) <= 1e-10 * lam
     psi = recover_psi(params, state, 10, lam, check=True)
     assert float(np.sum(psi)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_response_zero_exact_at_small_decay():
+    # 1 - c and 1 - c^2 taken as -expm1: with 1.0 - c * c, x0 was 4,133 ulps off here
+    params = ModelParams(alpha=2.6, beta=1.2e-5, sigma=0.0789, fundamental_log=0.0,
+                         horizon=1.0)
+    with mpmath.workdps(50):
+        a, b, y = mpmath.mpf(params.alpha), mpmath.mpf(params.beta), mpmath.mpf(params.y)
+        c = mpmath.exp(-b)
+        exact = float((b - c ** 2 * (1 - c ** 2) * y) / (a * (1 - c)))
+    assert exact == -99.37537023418393
+    assert abs(fnk_zero(params, 1, 1) - exact) <= 4 * math.ulp(exact)
 
 
 def test_decay_factor_underflow():

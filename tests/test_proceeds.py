@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import reference_proceeds
 import reference_values as ref
-from ouexec import (ConfigError, MarketState, ModelParams, expected_proceeds,
+from ouexec import (ConfigError, MarketState, ModelParams, continuous, expected_proceeds,
                     proceeds_breakdown)
+from ouexec.manipulation import extended_schedule
 from ouexec.proceeds import expected_price_path, impact_decay_profile
 from ouexec.strategy import (DeltaFamily, ExecutionStrategy, assemble_optimal,
                              initial_block)
@@ -183,3 +185,80 @@ def test_proceeds_bounded_by_undepressed_price(p, q, rate, sigma, beta):
                                                 - np.exp(-2.0 * beta * times) * y)))
     sold = p + q + rate
     assert val <= sold * sup_price + 1e-9
+
+
+@pytest.mark.parametrize("times", [[-5.0, 0.0, 0.5], [0.0, math.nan], [0.5, 0.2],
+                                   [0.0, 1.5], [math.inf], -1e-9])
+def test_sample_times_are_validated(times):
+    params = _params()
+    state = MarketState(cash=0.0, holdings=2.0, price=1.0)
+    strat = ExecutionStrategy(impulses=((0.0, 1.0),), density=np.full(4, 0.2), horizon=1.0)
+    with pytest.raises(ConfigError):
+        expected_price_path(params, state, strat, times)
+    with pytest.raises(ConfigError):
+        impact_decay_profile(params, strat, times)
+
+
+def _check_against_reference(params, state, strat, times):
+    # only the summation order differs from the loop, so the bound on the parts
+    # scales with the magnitude of the terms summed: opposite blocks cancel
+    parts, magnitude, prices, impacts = reference_proceeds.scan(params, state, strat, times)
+    got = proceeds_breakdown(params, state, strat)
+    for want, have in zip(parts, (got.initial_block_value, got.gradual_value,
+                                  got.terminal_block_value)):
+        assert abs(have - want) <= 1e-14 * magnitude
+    assert np.all(np.abs(expected_price_path(params, state, strat, times) - prices)
+                  <= 1e-14 * np.abs(prices))
+    assert np.all(np.abs(impact_decay_profile(params, strat, times) - impacts)
+                  <= 1e-14 * np.abs(impacts))
+
+
+@st.composite
+def _timelines(draw):
+    """Strategies with off-grid, colocated and near-edge blocks, and sample times."""
+    cells = draw(st.integers(1, 40))
+    t = draw(st.floats(0.05, 1.0))
+    w = t / cells
+    rate = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    near = st.one_of(st.sampled_from([0.0, -1e-12, 1e-12, -2e-12, 2e-12]),
+                     st.floats(-2e-12, 2e-12))
+    imps = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["free", "edge", "again"]))
+        if kind == "free":
+            r = draw(st.floats(0.0, t))
+        elif kind == "edge":
+            r = draw(st.integers(0, cells)) * w + draw(near)
+        else:
+            r = imps[-1][0] if imps else 0.0
+        imps.append((min(max(r, 0.0), t), draw(st.floats(-2.0, 2.0))))
+    strat = ExecutionStrategy(impulses=tuple(imps),
+                              density=draw(st.lists(rate, min_size=cells, max_size=cells)),
+                              horizon=t, extended_mode=True)
+    free = draw(st.lists(st.floats(0.0, t), max_size=6))
+    times = np.sort(np.array(free + [r for r, _ in imps] + [0.0, t]))
+    params = ModelParams(alpha=draw(st.floats(0.0, 3.0)),
+                         beta=10.0 ** draw(st.floats(-2.0, 3.0)),
+                         sigma=draw(st.floats(0.0, 1.0)),
+                         fundamental_log=draw(st.floats(-0.5, 0.5)), horizon=t)
+    state = MarketState(cash=0.0, holdings=1e6, price=draw(st.floats(0.5, 3.0)))
+    return params, state, strat, times
+
+
+@settings(max_examples=300)
+@given(case=_timelines())
+def test_matches_the_cell_loop(case):
+    _check_against_reference(*case)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("grid", [400, 1000])
+def test_schedules_match_the_cell_loop(extended, grid):
+    params = _params(sigma=0.3)
+    if extended:  # a buy-back round trip from a flat book, as the manipulation scan prices
+        state = MarketState(cash=0.0, holdings=0.0, price=math.exp(2.5))
+        strat = extended_schedule(params, state, grid_points=grid).strategy
+    else:
+        state = MarketState(cash=0.0, holdings=3.0, price=math.e)
+        strat = continuous.schedule(params, state, grid_points=grid).strategy
+    _check_against_reference(params, state, strat, np.linspace(0.0, 1.0, 9))
