@@ -118,6 +118,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _mc_agreement(mean: float, std_error: float, analytic: float) -> dict:
+    """Monte Carlo mean against the analytic value: z-score (null at zero error) and 3-SE test."""
+    dev = mean - analytic
+    bound = 3.0 * std_error if std_error > 0 else 1e-9 * max(1.0, abs(analytic))
+    return {"z_score": dev / std_error if std_error > 0 else None,
+            "within_3_std_errors": bool(abs(dev) <= bound)}
+
+
 def cmd_solve(params, state, opts, out_dir: Path, tol: float) -> int:
     grid_points = opts.get("grid_points", 1000)
     if classify(params, state) is Regime.GAP:
@@ -203,7 +211,6 @@ def cmd_simulate(params, state, opts, out_dir: Path, tol: float,
     rep = montecarlo.simulate(params, state, sched.strategy,
                               paths=paths, steps=steps, seed=seed)
     print(f"simulated {rep.paths} paths in {rep.elapsed:.2f}s", file=sys.stderr)
-    dev = abs(rep.mean_cash - sched.value)
     _write(out_dir, "simulate.json", _json_text({
         "paths": rep.paths,
         "steps": steps,
@@ -211,9 +218,8 @@ def cmd_simulate(params, state, opts, out_dir: Path, tol: float,
         "std_error": rep.std_error,
         "seed": rep.seed,
         "analytic_value": sched.value,
-        "abs_deviation": dev,
-        "within_3_std_errors": bool(dev <= 3.0 * rep.std_error) if rep.std_error > 0
-                               else bool(dev <= 1e-9 * max(1.0, abs(sched.value))),
+        "abs_deviation": abs(rep.mean_cash - sched.value),
+        **_mc_agreement(rep.mean_cash, rep.std_error, sched.value),
     }))
     return 0
 
@@ -262,12 +268,9 @@ def cmd_verify(params, state, opts, out_dir: Path, tol: float) -> int:
                 {"delta": delta, "value": v_delta})
     print(f"simulated {rep.paths} paths in {rep.elapsed:.2f}s", file=sys.stderr)
     rows.append(("monte_carlo", rep.mean_cash, f"se={rep.std_error!r}"))
-    mc_dev = abs(rep.mean_cash - v_cont)
     detail["monte_carlo"] = {"paths": rep.paths, "mean_cash": rep.mean_cash,
                              "std_error": rep.std_error, "seed": rep.seed,
-                             "within_3_std_errors":
-                                 bool(mc_dev <= 3.0 * rep.std_error) if rep.std_error > 0
-                                 else bool(mc_dev <= 1e-9 * max(1.0, abs(v_cont)))}
+                             **_mc_agreement(rep.mean_cash, rep.std_error, v_cont)}
     detail["discrete_minus_continuous"] = v_disc - v_cont
 
     _write(out_dir, "verify.csv", _csv(["method", "value", "detail"],

@@ -16,12 +16,14 @@ and so is the slope of log E.
 
 xi_r is the (shifted) log of the expected price along the optimal path:
 E[S_r] = e^{F+y} exp(e^{-2 b r} y - a xi_r). The cumulative sales process
-is eta_r = xi_r - (1 + e^{-2 b r}) y / a + z / a.
+is eta_r = xi_r - (1 + e^{-2 b r}) y / a + z / a. Given lambda*, the whole
+schedule comes from one inversion for xi* on the solve's nodes and the grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +71,10 @@ def p_inverse(q, alpha: float):
 
 def xi_star(params: ModelParams, state: MarketState, lam: float, r):
     """Optimal log expected-price deviation at times r for multiplier lam."""
-    d = derive(params, state)
     scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    g = np.exp(-np.exp(-2.0 * params.beta * r) * d.y)
+    g = np.exp(-np.exp(-2.0 * params.beta * r) * params.y)
     out = p_inverse(g * lam / params.alpha, params.alpha)
-    out = np.atleast_1d(out)
     return float(out[0]) if scalar else out
 
 
@@ -96,14 +96,13 @@ def zeta_star(params: ModelParams, state: MarketState, lam: float, r, form: str 
     ="direct" differentiates eta* term by term, carrying lam explicitly.
     The two must agree to roundoff; keeping both guards the derivation.
     """
-    d = derive(params, state)
     scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    a, b, y = params.alpha, params.beta, d.y
+    a, b, y = params.alpha, params.beta, params.y
     decay2 = np.exp(-2.0 * b * r)
     xi = xi_star(params, state, lam, r)
     if form == "reduced":
-        out = b * xi + 2.0 * b * y * decay2 / (a * (2.0 - a * xi))
+        out = _zeta(params, xi, decay2)
     elif form == "direct":
         inv_slope = np.exp(a * xi) / (a * (a * xi - 2.0))  # d P^{-1} / dq
         out = b * xi + 2.0 * b * lam * decay2 * y * inv_slope * np.exp(-decay2 * y) / a + 2.0 * b * y * decay2 / a
@@ -112,10 +111,37 @@ def zeta_star(params: ModelParams, state: MarketState, lam: float, r, form: str 
     return float(out[0]) if scalar else out
 
 
+def _zeta(params: ModelParams, xi, decay2):
+    """Reduced-form zeta* from xi* and e^{-2 beta r} at the same times."""
+    a, b = params.alpha, params.beta
+    return b * xi + 2.0 * b * params.y * decay2 / (a * (2.0 - a * xi))
+
+
+# xi* and e^{-2 beta r} on the quadrature nodes and at sample times; j = int_0^t xi*
+_Trajectory = namedtuple("_Trajectory", "weights node_decay2 node_xi decay2 xi j")
+
+
+def _trajectory(params: ModelParams, state: MarketState, lam: float, times=(),
+                panels: int | None = None) -> _Trajectory:
+    """xi*_r at lam on `panels` Gauss-Legendre panels of order 16 and at the times.
+
+    One inversion covers both. The panels default to the solve's, pinned at
+    lambda = alpha e^{-y} / 2.
+    """
+    a = params.alpha
+    if panels is None:
+        panels = _panels(params, state, 0.5 * a * math.exp(-params.y))
+    nodes, weights = panel_nodes(0.0, params.horizon, panels, 16)
+    decay2 = np.exp(-2.0 * params.beta * np.concatenate([nodes, np.asarray(times, dtype=float)]))
+    xi = p_inverse(np.exp(-decay2 * params.y) * lam / a, a)
+    k = nodes.size
+    return _Trajectory(weights, decay2[:k], xi[:k], decay2[k:], xi[k:],
+                       float(np.dot(weights, xi[:k])))
+
+
 def _xi_integral(params: ModelParams, state: MarketState, lam: float):
-    """Adaptive integral of xi*_r over [0, t]."""
-    f = lambda r: xi_star(params, state, lam, r)
-    return adaptive_quad(f, 0.0, params.horizon, rel_tol=1e-13, abs_tol=1e-15)
+    """Integral of xi*_r over [0, t] on the pinned nodes."""
+    return _trajectory(params, state, lam).j
 
 
 def h_eval(params: ModelParams, state: MarketState, lam: float,
@@ -154,13 +180,10 @@ def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
     """
     d = derive(params, state)
     a, b = params.alpha, params.beta
-    nodes, weights = panel_nodes(0.0, params.horizon, panels, 16)
-    g = np.exp(-np.exp(-2.0 * b * nodes) * d.y)
-    xi = p_inverse(g * lam / a, a)
-    w = 1.0 - a * xi
-    j = float(np.dot(weights, xi))
-    log_e = math.log(a) + a * b * j - a * state.holdings + d.z - d.y
-    return log_e, -b * float(np.dot(weights, w / (1.0 + w)))
+    tr = _trajectory(params, state, lam, panels=panels)
+    w = 1.0 - a * tr.node_xi
+    log_e = math.log(a) + a * b * tr.j - a * state.holdings + d.z - d.y
+    return log_e, -b * float(np.dot(tr.weights, w / (1.0 + w)))
 
 
 def solve_lambda_star(params: ModelParams, state: MarketState,
@@ -197,9 +220,9 @@ class ContinuousSchedule:
     """Optimal schedule sampled on a uniform grid over [0, t].
 
     times has grid_points + 1 boundary entries; xi, eta, zeta and
-    expected_price align with it. density_integral is the adaptively
-    integrated zeta*, so p_star + density_integral + q_star recovers phi
-    to quadrature accuracy rather than grid accuracy.
+    expected_price align with it. density_integral is zeta* integrated on
+    the solve's Gauss-Legendre nodes, so p_star + density_integral + q_star
+    recovers phi to quadrature accuracy rather than grid accuracy.
     """
 
     regime: Regime
@@ -217,12 +240,6 @@ class ContinuousSchedule:
     extended: bool = False
 
 
-def _expected_price_on_path(params: ModelParams, state: MarketState, xi, r):
-    d = derive(params, state)
-    decay2 = np.exp(-2.0 * params.beta * np.asarray(r, dtype=float))
-    return math.exp(params.fundamental_log + d.y) * np.exp(decay2 * d.y - params.alpha * xi)
-
-
 def value(params: ModelParams, state: MarketState, tol: float = 1e-10) -> float:
     """Best attainable expected terminal cash for the current regime.
 
@@ -233,38 +250,40 @@ def value(params: ModelParams, state: MarketState, tol: float = 1e-10) -> float:
     schedule() is the API that refuses the gap outright.
     """
     regime = classify(params, state)
-    a = params.alpha
     d0 = derive(params, state)
     if d0.z <= 2.0 * d0.y:
         raise RegimeError(
             f"z = {d0.z:.6g} <= 2y = {2.0 * d0.y:.6g}: no closed-form value "
             "outside the standing assumption z > 2y")
     if regime is Regime.SMALL_HOLDINGS:
-        return state.cash + state.price * block_factor(state.holdings, a)
+        return state.cash + state.price * block_factor(state.holdings, params.alpha)
     if regime is Regime.ZERO_VOL:
         return zero_vol.solve(params, state).value
     if regime is Regime.GAP:
         from . import discrete
         n = 2000
         lam = discrete.solve_lambda_hat(params, state, n)
-        psi = discrete.recover_psi(params, state, n, lam, check=False)
+        psi = discrete.recover_psi(params, state, n, lam)
         if float(np.min(psi)) < -1e-10 * max(1.0, state.holdings):
             raise NumericalError(
                 "gap-regime fallback: the stationary allocation leaves the "
                 "admissible set; no value available")
-        resid = float(np.max(np.abs(discrete.gradient(params, state, psi, n) - lam)))
-        if not resid <= 1e-8 * max(1.0, lam):
-            raise NumericalError(
-                f"gap-regime fallback stationarity residual {resid:.3e} too large")
         return discrete.discrete_value(params, state, psi, n)
-    lam = solve_lambda_star(params, state, tol=tol)
+    return _schedule(params, state, 1, tol)[0].value  # the value needs no finer grid
+
+
+def _value_block(params: ModelParams, state: MarketState, tr: _Trajectory, p_star: float,
+                 q_star: float, xi_t: float) -> float:
+    """value_block_form from the trajectory tr of its multiplier; xi_t = xi*_t."""
     d = derive(params, state)
-    p_star = float(xi_star(params, state, lam, 0.0)) + (d.z - 2.0 * d.y) / a
-    j = _xi_integral(params, state, lam)
-    q_star = (state.holdings - params.beta * j
-              - float(xi_star(params, state, lam, params.horizon))
-              - d.z / a + d.y * (1.0 + math.exp(-2.0 * params.beta * params.horizon)) / a)
-    return value_block_form(params, state, lam, p_star, q_star)
+    a, b, s = params.alpha, params.beta, state.price
+    eta_t = xi_t - (1.0 + math.exp(-2.0 * b * params.horizon)) * d.y / a + d.z / a
+    grad = float(np.dot(tr.weights, tr.node_xi * np.exp(tr.node_decay2 * d.y - a * tr.node_xi)))
+    v = s * block_factor(p_star, a)
+    v += s * (math.exp(-a * p_star) - math.exp(-a * eta_t)) / a
+    v += s * b * math.exp(d.y - d.z) * grad
+    v += s * math.exp(-a * eta_t) * block_factor(q_star, a)
+    return state.cash + v
 
 
 def value_block_form(params: ModelParams, state: MarketState, lam: float, p_star: float,
@@ -273,25 +292,10 @@ def value_block_form(params: ModelParams, state: MarketState, lam: float, p_star
 
     Initial block, gradual part and terminal block are valued separately;
     the non-martingale drift correction enters through an integral of
-    xi* e^{-alpha eta*}, done adaptively.
+    xi* e^{-alpha eta*}, taken on the pinned nodes of the multiplier solve.
     """
-    d = derive(params, state)
-    a, b, t = params.alpha, params.beta, params.horizon
-    s = state.price
-
-    def kernel(r):
-        r = np.asarray(r, dtype=float)
-        xi = xi_star(params, state, lam, r)
-        decay2 = np.exp(-2.0 * b * r)
-        return xi * np.exp(decay2 * d.y - a * xi)
-
-    grad = adaptive_quad(kernel, 0.0, t, rel_tol=1e-13, abs_tol=1e-15)
-    eta_t = float(eta_star(params, state, lam, t))
-    v = s * block_factor(p_star, a)
-    v += s * (math.exp(-a * p_star) - math.exp(-a * eta_t)) / a
-    v += s * b * math.exp(d.y - d.z) * grad
-    v += s * math.exp(-a * eta_t) * block_factor(q_star, a)
-    return state.cash + v
+    tr = _trajectory(params, state, lam, [params.horizon])
+    return _value_block(params, state, tr, p_star, q_star, float(tr.xi[0]))
 
 
 def value_flow_form(params: ModelParams, state: MarketState, lam: float) -> float:
@@ -299,20 +303,14 @@ def value_flow_form(params: ModelParams, state: MarketState, lam: float) -> floa
 
     Uses only the total phi and the running xi integral; the blocks never
     appear individually. Agreement with value() validates both algebra
-    paths.
+    paths. Both integrals run on the pinned nodes of the multiplier solve.
     """
     d = derive(params, state)
-    a, b, t = params.alpha, params.beta, params.horizon
-    j = _xi_integral(params, state, lam)
-
-    def kernel(r):
-        r = np.asarray(r, dtype=float)
-        xi = xi_star(params, state, lam, r)
-        decay2 = np.exp(-2.0 * b * r)
-        return xi * np.exp(params.fundamental_log - a * xi + (1.0 + decay2) * d.y)
-
-    grad = adaptive_quad(kernel, 0.0, t, rel_tol=1e-13, abs_tol=1e-15)
-    v = (state.price / a) * (1.0 - math.exp(-a * state.holdings + a * b * j))
+    a, b = params.alpha, params.beta
+    tr = _trajectory(params, state, lam)
+    grad = float(np.dot(tr.weights, tr.node_xi * np.exp(
+        params.fundamental_log - a * tr.node_xi + (1.0 + tr.node_decay2) * d.y)))
+    v = (state.price / a) * (1.0 - math.exp(-a * state.holdings + a * b * tr.j))
     return state.cash + v + b * grad
 
 
@@ -327,6 +325,12 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
     unless extended=True, which evaluates the same formulas without
     optimality guarantees.
     """
+    return _schedule(params, state, grid_points, tol, extended)[0]
+
+
+def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: float = 1e-10,
+              extended: bool = False) -> tuple[ContinuousSchedule, _Trajectory | None]:
+    """schedule(), and the trajectory of the multiplier where one was solved for."""
     d = derive(params, state)
     a, b, t = params.alpha, params.beta, params.horizon
     phi, s = state.holdings, state.price
@@ -338,23 +342,20 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
             "is only optimal under z > 2y (extended=True evaluates the "
             "formulas anyway, without optimality claims)")
     times = np.linspace(0.0, t, grid_points + 1)
+    tr = None
 
     if regime is Regime.ZERO_VOL and not extended:
         zv = zero_vol.solve(params, state)
         lam = a * float(p_eval(zv.p_star - d.z / a, a))
+        p_star, q_star, dens_int, val = zv.p_star, zv.q_star, zv.zeta_star * t, zv.value
         xi = np.full_like(times, zv.p_star - d.z / a)
         eta = np.full_like(times, zv.p_star)
         zeta = np.full_like(times, zv.zeta_star)
-        price = _expected_price_on_path(params, state, xi, times)
+        price = math.exp(params.fundamental_log) * np.exp(-a * xi)  # y = 0
         strategy = assemble_optimal(zv.p_star, zeta[:-1], zv.q_star, t)
-        return ContinuousSchedule(
-            regime=regime, lambda_star=lam, p_star=zv.p_star, q_star=zv.q_star,
-            times=times, xi=xi, eta=eta, zeta=zeta, expected_price=price,
-            density_integral=zv.zeta_star * t, value=zv.value,
-            strategy=strategy, extended=False)
-
-    if regime is Regime.SMALL_HOLDINGS and not extended:
+    elif regime is Regime.SMALL_HOLDINGS and not extended:
         # selling pressure never outweighs the depressed price: one block now
+        lam, p_star, q_star, dens_int = None, phi, 0.0, 0.0
         xi = np.full_like(times, np.nan)
         zeta = np.zeros_like(times)
         eta = np.full_like(times, phi)
@@ -364,32 +365,25 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
             decay * d.z - decay2 * d.y - a * phi)
         strategy = assemble_optimal(phi, zeta[:-1], 0.0, t)
         val = state.cash + s * block_factor(phi, a)
-        return ContinuousSchedule(
-            regime=regime, lambda_star=None, p_star=phi, q_star=0.0,
-            times=times, xi=xi, eta=eta, zeta=zeta, expected_price=price,
-            density_integral=0.0, value=val, strategy=strategy, extended=False)
-
-    if regime is Regime.GAP and not extended:
+    elif regime is Regime.GAP and not extended:
         raise RegimeError(
             "holdings fall between the small- and large-holdings conditions; "
             "no closed form applies (use the discrete approximation)")
-
-    lam = solve_lambda_star(params, state, tol=tol, extended=extended)
-    xi = xi_star(params, state, lam, times)
-    eta = eta_star(params, state, lam, times)
-    zeta = zeta_star(params, state, lam, times)
-    price = _expected_price_on_path(params, state, xi, times)
-    p_star = float(xi[0] + (d.z - 2.0 * d.y) / a)
-    j = _xi_integral(params, state, lam)
-    q_star = float(phi - b * j - xi[-1] - d.z / a + d.y * (1.0 + math.exp(-2.0 * b * t)) / a)
-    dens_int = adaptive_quad(lambda r: zeta_star(params, state, lam, r),
-                             0.0, t, rel_tol=1e-13, abs_tol=1e-15)
-    mids = 0.5 * (times[:-1] + times[1:])
-    strategy = assemble_optimal(p_star, zeta_star(params, state, lam, mids),
-                                q_star, t, extended_mode=extended)
-    val = value_block_form(params, state, lam, p_star, q_star)
+    else:
+        lam = solve_lambda_star(params, state, tol=tol, extended=extended)
+        # the grid, then the cell midpoints at which the strategy samples the rate
+        tr = _trajectory(params, state, lam, np.append(times, 0.5 * (times[:-1] + times[1:])))
+        n = times.size
+        xi, decay2 = tr.xi[:n], tr.decay2[:n]
+        zeta, mid_zeta = np.split(_zeta(params, tr.xi, tr.decay2), [n])
+        eta = xi - (1.0 + decay2) * d.y / a + d.z / a
+        price = math.exp(params.fundamental_log + d.y) * np.exp(decay2 * d.y - a * xi)
+        p_star = float(xi[0] + (d.z - 2.0 * d.y) / a)
+        q_star = float(phi - b * tr.j - xi[-1] - d.z / a + d.y * (1.0 + math.exp(-2.0 * b * t)) / a)
+        dens_int = float(np.dot(tr.weights, _zeta(params, tr.node_xi, tr.node_decay2)))
+        strategy = assemble_optimal(p_star, mid_zeta, q_star, t, extended_mode=extended)
+        val = _value_block(params, state, tr, p_star, q_star, float(xi[-1]))
     return ContinuousSchedule(
         regime=regime, lambda_star=lam, p_star=p_star, q_star=q_star,
         times=times, xi=xi, eta=eta, zeta=zeta, expected_price=price,
-        density_integral=dens_int, value=val, strategy=strategy,
-        extended=extended)
+        density_integral=dens_int, value=val, strategy=strategy, extended=extended), tr

@@ -270,27 +270,34 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float,
     The per-period first-order conditions give the post-sale impact levels
     S_k through the response inverses; differencing them yields the sales.
     The last period takes whatever the budget leaves so the allocation
-    sums to phi exactly.
+    sums to phi exactly. Gradient k must be within check_tol max(1, lam) of
+    lam plus the rounding floor of its terms, which is e^y sized at large y.
     """
     m, c = periods(params, n)
     d = derive(params, state)
-    a, phi = params.alpha, state.holdings
+    a, phi, u = params.alpha, state.holdings, _one_minus_c(params, n)
     if m == 1:
-        psi = np.array([phi])
+        psi, floor = np.array([phi]), 0.0
     else:
         ks = np.arange(m - 1)
         finv = fnk_inverse(params, n, ks, np.exp(c ** (2 * ks) * params.y) * lam / a)
         psi = np.empty(m)
         psi[0] = finv[0] + d.z / a
         psi[1:m - 1] = finv[1:] - c * finv[:-1]
-        tail = _one_minus_c(params, n) * float(np.sum(finv[:m - 2])) if m > 2 else 0.0
+        tail = u * float(np.sum(finv[:m - 2])) if m > 2 else 0.0
         psi[m - 1] = phi - tail - finv[m - 2] - d.z / a
+        # the floor of gradient k sums 4 eps |x_j| |d term_j / d x_j| over j >= k, where
+        # term j is a u e^{-c^{2j} y} F^n_j(x_j) and F' = -(a/u) e^{-a x}(u - c expm1(s))
+        slope = a * a * (u - c * np.expm1(a * u * (finv - fnk_zero(params, n, ks)))) * np.exp(
+            np.minimum(-c ** (2 * ks) * params.y - a * finv, 700.0))
+        terms = 4.0 * np.finfo(float).eps * np.abs(finv) * slope
+        floor = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
     if check:
-        resid = float(np.max(np.abs(gradient(params, state, psi, n) - lam)))
-        if not resid <= check_tol * max(1.0, abs(lam)):
+        resid = np.abs(gradient(params, state, psi, n) - lam)
+        if not np.all(resid <= check_tol * max(1.0, abs(lam)) + floor):
             raise NumericalError(
-                f"stationarity residual {resid:.3e} above {check_tol:.1e}; "
-                "the recovered allocation is not a critical point")
+                f"stationarity residual {np.max(resid):.3e} above {check_tol:.1e} plus its "
+                "rounding floor; the recovered allocation is not a critical point")
     return psi
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import continuous
 from .errors import ConfigError
 from .model import MarketState, ModelParams, derive
-from .numerics import adaptive_quad, find_root
+from .numerics import find_root
 from .proceeds import expected_proceeds
 
 
@@ -80,7 +80,7 @@ def extended_schedule(params: ModelParams, state: MarketState,
 
 @dataclass(frozen=True)
 class RoundTripBound:
-    bound: float          # quadrature evaluation of the profit lower bound
+    bound: float          # the profit lower bound, its integral on the solve's nodes
     weak_bound: float     # (s/alpha) L(z)
     lambda_star: float    # extended multiplier at phi = 0
 
@@ -90,20 +90,15 @@ def round_trip_profit_bound(params: ModelParams, state: MarketState) -> RoundTri
     if abs(state.holdings) > 1e-12:
         raise ConfigError("round trips require phi = 0")
     lam = continuous.solve_lambda_star(params, state, extended=True)
-    return _bound_at(params, state, lam)
+    return _bound_at(params, state, lam, continuous._trajectory(params, state, lam))
 
 
-def _bound_at(params: ModelParams, state: MarketState, lam: float) -> RoundTripBound:
-    """The round-trip profit bounds at the extended multiplier lam."""
+def _bound_at(params: ModelParams, state: MarketState, lam: float,
+              tr: continuous._Trajectory) -> RoundTripBound:
+    """The round-trip profit bounds at the extended multiplier lam, whose trajectory is tr."""
     d = derive(params, state)
     a, b, t = params.alpha, params.beta, params.horizon
-
-    def kernel(r):
-        r = np.asarray(r, dtype=float)
-        xi = continuous.xi_star(params, state, lam, r)
-        return np.exp(np.exp(-2.0 * b * r) * d.y - a * xi)
-
-    integral = adaptive_quad(kernel, 0.0, t, rel_tol=1e-12, abs_tol=1e-15)
+    integral = float(np.dot(tr.weights, np.exp(tr.node_decay2 * d.y - a * tr.node_xi)))
     shrink = math.exp(d.y - d.z)
     bound = (state.price / a) * (1.0 - (1.0 + b * t) * shrink * lam / a
                                  + b * shrink * integral)
@@ -154,8 +149,8 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
     for i, z in enumerate(zs):
         price = math.exp(params.fundamental_log + z)
         st = MarketState(cash=state.cash, holdings=0.0, price=price)
-        sched = extended_schedule(params, st, grid_points=grid_points)
-        bounds[i] = _bound_at(params, st, sched.lambda_star).bound
+        sched, tr = continuous._schedule(params, st, grid_points, extended=True)
+        bounds[i] = _bound_at(params, st, sched.lambda_star, tr).bound
         profits[i] = expected_proceeds(params, st, sched.strategy) - state.cash
 
     certified = np.flatnonzero((bounds > 0.0) & (profits > 0.0))

@@ -12,11 +12,13 @@ displacement of the log price, decayed at the reversion speed.
 The cells, split at interior blocks, are segments of constant rate zeta_j.
 On a segment D solves D' = alpha zeta_j - beta D, so across one of length
 l_j it follows the recurrence D <- c_j D + alpha zeta_j (1 - c_j)/beta,
-c_j = e^{-beta l_j}, and a block of p adds alpha p. One scalar pass of that
-recurrence gives D at every segment start and before every block; inside
-a segment D is closed form and the outer integrand smooth, so one
-Gauss-Legendre rule per segment, evaluated for all segments in one array
-expression, is exact to machine accuracy for practical grids. Price
+c_j = e^{-beta l_j}, and a block of p adds alpha p. 1 - c_j is taken as
+-expm1(-beta l_j), and the recurrence as D + (1 - c_j)(alpha zeta_j/beta - D),
+so no rounded c_j multiplies D and compounds over the segments. One pass
+gives D at every segment start and before every block; inside a segment
+D is closed form and the outer integrand smooth, so one Gauss-Legendre
+rule per segment, evaluated for all segments in one array expression, is
+exact to machine accuracy for practical grids. Price
 samples and the impact profile read D from the same segment table.
 """
 
@@ -80,9 +82,8 @@ def _impact_path(params: ModelParams, strategy: strat.ExecutionStrategy):
     before, d = [], 0.0
     for span, zeta, j in zip(length.tolist(), rate.tolist(), jump.tolist()):
         before.append(d)
-        # math.exp, not numpy's: 1 - c amplifies a last-bit difference in c
-        c = math.exp(-beta * span)
-        d = (d + j) * c + alpha * zeta * (1.0 - c) / beta
+        d += j
+        d += (alpha * zeta - beta * d) * (-math.expm1(-beta * span) / beta)
     before = np.array(before)
     is_block = np.zeros(before.size, dtype=bool)
     is_block[ev + np.arange(ev.size)] = True  # np.insert put block k at ev[k] + k
@@ -100,9 +101,8 @@ def _impact_at(params: ModelParams, path, times: np.ndarray) -> np.ndarray:
     k = np.searchsorted(events + _TOL, times)
     at = np.where(times > events[k] - _TOL, k, np.maximum(k - 1, 0))
     rate = np.append(0.0, rates)[k]
-    u = np.maximum(times - events[at], 0.0)
-    decay = np.array([math.exp(-beta * v) for v in u.tolist()])  # as in _impact_path
-    return d_events[at] * decay + alpha * rate * (1.0 - decay) / beta
+    x = -beta * np.maximum(times - events[at], 0.0)
+    return d_events[at] * np.exp(x) - alpha * rate * np.expm1(x) / beta
 
 
 def _expected_price(params: ModelParams, state: MarketState, r, d):
@@ -143,8 +143,8 @@ def proceeds_breakdown(params: ModelParams, state: MarketState,
     x = nodes + 1.0
     half = 0.5 * np.diff(events)[live]
     zeta = rates[live][:, None]
-    decay = np.exp((-beta * half)[:, None] * x)
-    d_r = d_events[:-1][live][:, None] * decay + alpha * zeta * (1.0 - decay) / beta
+    u = (-beta * half)[:, None] * x
+    d_r = d_events[:-1][live][:, None] * np.exp(u) - alpha * zeta * np.expm1(u) / beta
     r = events[:-1][live][:, None] + half[:, None] * x
     parts[1] += float(np.sum(half * ((zeta * _expected_price(params, state, r, d_r)) @ weights)))
     return ProceedsBreakdown(

@@ -72,7 +72,7 @@ def scan(params, state, strategy, sample_times=None, order: int = 20):
                 break
             u = max(ts - anchor, 0.0)
             decay = math.exp(-beta * u)
-            d_ts = d_at_lo * decay + alpha * zeta_cur * (1.0 - decay) / beta
+            d_ts = d_at_lo * decay + alpha * zeta_cur * -math.expm1(-beta * u) / beta
             samples[s_idx] = float(price(ts, d_ts))
             impacts[s_idx] = d_ts
             s_idx += 1
@@ -94,16 +94,16 @@ def scan(params, state, strategy, sample_times=None, order: int = 20):
             span = nxt - pos
             if span > _TOL:
                 take_samples(pos, nxt, d, pos, inclusive=False)
-                decay_u = np.exp(-beta * (0.5 * span) * (nodes + 1.0))
+                x_u = -beta * (0.5 * span) * (nodes + 1.0)
+                decay_u = np.exp(x_u)
                 if zeta_cur != 0.0:
-                    d_r = d * decay_u + alpha * zeta_cur * (1.0 - decay_u) / beta
+                    d_r = d * decay_u + alpha * zeta_cur * -np.expm1(x_u) / beta
                     r = pos + 0.5 * span * (nodes + 1.0)
                     vals = zeta_cur * price(r, d_r)
                     term = 0.5 * span * float(np.dot(weights, vals))
                     parts[1] += term
                     magnitude += abs(term)
-                end_decay = math.exp(-beta * span)
-                d = d * end_decay + alpha * zeta_cur * (1.0 - end_decay) / beta
+                d += (alpha * zeta_cur - beta * d) * (-math.expm1(-beta * span) / beta)
             pos = nxt
             if pos >= b - _TOL:
                 break

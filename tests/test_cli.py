@@ -19,6 +19,16 @@ def _write_config(tmp_path: Path, name: str, **overrides) -> Path:
     return path
 
 
+def _check_z_score(mc: dict, analytic: float) -> None:
+    # z = (mean - analytic) / std_error, null without sampling error; the 3-SE flag agrees
+    if mc["std_error"] == 0.0:
+        assert mc["z_score"] is None
+        return
+    assert mc["z_score"] == pytest.approx((mc["mean_cash"] - analytic) / mc["std_error"],
+                                          rel=1e-12)
+    assert mc["within_3_std_errors"] == (abs(mc["z_score"]) <= 3.0)
+
+
 def _read_dir(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -76,6 +86,8 @@ def test_simulate_flags_override_config(tmp_path):
     assert meta["steps"] == 100
     assert "elapsed" not in meta
     assert meta["within_3_std_errors"] in (True, False)
+    assert "z_score" in meta
+    _check_z_score(meta, meta["analytic_value"])
 
 
 def test_simulate_rounds_steps_up(tmp_path):
@@ -102,6 +114,17 @@ def test_verify_outputs(tmp_path):
     assert meta["brute_force"]["n"] == 4
     assert abs(meta["discrete_minus_continuous"]) < 0.05
     assert meta["delta_family"][0]["value"] < meta["continuous_value"]
+    assert "z_score" in meta["monte_carlo"]
+    _check_z_score(meta["monte_carlo"], meta["continuous_value"])
+
+
+def test_simulate_without_noise_has_no_z_score(tmp_path):
+    cfg = _write_config(tmp_path, "c.json", sigma=0.0, grid_points=100, paths=50, steps=100)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "simulate.json").read_text())
+    assert meta["std_error"] == 0.0 and meta["z_score"] is None
+    assert meta["within_3_std_errors"] is True
 
 
 def test_manipulate_outputs(tmp_path):

@@ -16,6 +16,7 @@ from ouexec import zero_vol
 from ouexec.continuous import (h_eval, p_eval, p_inverse, schedule,
                                solve_lambda_star, value, value_block_form,
                                value_flow_form, xi_star, zeta_star)
+from ouexec.numerics import adaptive_quad
 
 
 # ---------------------------------------------------------------- P and P^-1
@@ -151,6 +152,65 @@ def test_value_forms_agree(ou_params, ref_state):
     flow = value_flow_form(ou_params, ref_state, lam)
     assert block == pytest.approx(flow, rel=1e-12)
     assert block == pytest.approx(ref.OU_VALUE, rel=1e-12)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_schedule_inverts_once_after_the_solve(monkeypatch, ou_params, ref_state, extended):
+    # once lambda* is known: the panel pin, then one inversion on the nodes and the grid
+    solved, sizes = [], []
+    solve, inverse = continuous.solve_lambda_star, continuous.p_inverse
+
+    def counted_solve(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    def counted_inverse(q, alpha):
+        if solved:
+            sizes.append(np.size(q))
+        return inverse(q, alpha)
+
+    monkeypatch.setattr(continuous, "solve_lambda_star", counted_solve)
+    monkeypatch.setattr(continuous, "p_inverse", counted_inverse)
+    state = MarketState(cash=0.0, holdings=0.0, price=math.exp(3.0)) if extended else ref_state
+    schedule(ou_params, state, grid_points=400, extended=extended)
+    assert len(solved) == 1
+    assert len(sizes) <= 3
+    assert sum(size > 2 * 400 + 1 for size in sizes) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_alpha=st.floats(math.log(0.1), math.log(10.0)),
+       log_beta=st.floats(math.log(0.1), math.log(10.0)),
+       sigma=st.floats(0.0, 1.0), t=st.floats(0.05, 1.0), gap=st.floats(0.01, 5.0),
+       large=st.booleans(), scale=st.floats(1.05, 2.5))
+def test_pinned_node_integrals_match_adaptive_quadrature(log_alpha, log_beta, sigma, t, gap,
+                                                         large, scale):
+    # large holdings, or the phi = 0 round trip in extended mode; z > 2y either way
+    a, b = math.exp(log_alpha), math.exp(log_beta)
+    params = ModelParams(alpha=a, beta=b, sigma=sigma, fundamental_log=0.0, horizon=t)
+    y = params.y
+    z = 2.0 * y + gap
+    phi = max(z, 1.0 + b) / a * scale if large else 0.0
+    state = MarketState(cash=0.0, holdings=phi, price=math.exp(z))
+    lam = solve_lambda_star(params, state, extended=True)
+    tr = continuous._trajectory(params, state, lam)
+    w, xi, decay2 = tr.weights, tr.node_xi, tr.node_decay2
+    # J, the density integral, the block-form kernel and the round-trip bound kernel
+    kernels = [lambda x, d: x,
+               lambda x, d: continuous._zeta(params, x, d),
+               lambda x, d: x * np.exp(d * y - a * x),
+               lambda x, d: np.exp(d * y - a * x)]
+    # xi* = (1 - W)/alpha is rounded to about eps (1 + |W|)/alpha; where xi* is near 0
+    # that floor, not the panel count, limits how well two rules can agree
+    shift = 4.0 * np.finfo(float).eps * (1.0 + np.abs(1.0 - a * xi)) / a
+    for k in kernels:
+        pinned = np.dot(w, k(xi, decay2))
+        f = lambda r: k(xi_star(params, state, lam, r), np.exp(-2.0 * b * r))
+        adaptive = adaptive_quad(f, 0.0, t, rel_tol=1e-13, abs_tol=0.0)
+        floor = np.dot(w, np.abs(k(xi + shift, decay2) - k(xi, decay2)))
+        # relative to the integral of |f|: xi* and zeta* change sign on round trips
+        assert abs(pinned - adaptive) <= 1e-14 * np.dot(w, np.abs(k(xi, decay2))) + floor
+    assert tr.j == np.dot(w, xi)
 
 
 def test_conservation(ou_params, ref_state):

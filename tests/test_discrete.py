@@ -213,6 +213,38 @@ def test_recover_psi_checks_stationarity(ou_params, ref_state):
     assert bad.shape == psi.shape
 
 
+def test_recover_psi_check_allows_for_rounding_at_large_y():
+    # y = 43.9: each gradient term moves by ~e^{c^{2k} y} per unit of its argument, so
+    # ulp-level rounding in psi left residuals of 1.3e2 against the absolute 1e-8 bound
+    params = ModelParams(alpha=0.313, beta=0.0107, sigma=1.37, fundamental_log=0.0,
+                         horizon=0.842)
+    state = MarketState(cash=0.0, holdings=0.893, price=math.exp(2.88))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # n t = 8.42 leaves the tail idle
+        lam = solve_lambda_hat(params, state, 10)
+        psi = recover_psi(params, state, 10, lam, check=True)
+    assert np.all(np.isfinite(psi))
+    assert float(np.sum(psi)) == pytest.approx(0.893, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_recover_psi_check_still_catches_a_perturbed_period(monkeypatch, ou_params,
+                                                            ref_state, k):
+    n = 10
+    lam = solve_lambda_hat(ou_params, ref_state, n)
+    recover_psi(ou_params, ref_state, n, lam)
+    exact = discrete.gradient
+
+    def perturbed(params, state, psi, n):
+        psi = psi.copy()
+        psi[k] *= 1.0 + 1e-6
+        return exact(params, state, psi, n)
+
+    monkeypatch.setattr(discrete, "gradient", perturbed)
+    with pytest.raises(NumericalError):
+        recover_psi(ou_params, ref_state, n, lam)
+
+
 def test_errors_decrease_with_n(ou_params, ref_state):
     from ouexec.continuous import value
     v_ref = value(ou_params, ref_state)

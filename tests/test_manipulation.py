@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import reference_values as ref
-from ouexec import ConfigError, MarketState, ModelParams, continuous, expected_proceeds
+from ouexec import (ConfigError, MarketState, ModelParams, continuous, expected_proceeds,
+                    manipulation)
 from ouexec.continuous import schedule, value_block_form
 from ouexec.manipulation import (extended_schedule, l_eval, l_root,
                                  round_trip_profit_bound, scan)
@@ -134,6 +135,40 @@ def test_scan_solves_the_multiplier_once_per_point(monkeypatch):
     # the bound at the schedule's multiplier is the stand-alone bound
     rtb = round_trip_profit_bound(_params(), _state(float(rep.z_values[2])))
     assert rep.profit_bounds[2] == pytest.approx(rtb.bound, rel=1e-14)
+
+
+def test_scan_bound_reads_the_schedule_trajectory(monkeypatch):
+    # per point: one solve, the panel pin and one inversion; the bound inverts nothing
+    solves, sizes, bound_inversions = [], [], []
+    solve, inverse, bound_at = (continuous.solve_lambda_star, continuous.p_inverse,
+                                manipulation._bound_at)
+
+    def counted_solve(*args, **kwargs):
+        sizes.append(None)  # the solve's own inversions are not counted
+        solves.append(solve(*args, **kwargs))
+        sizes[-1] = []
+        return solves[-1]
+
+    def counted_inverse(q, alpha):
+        if sizes and sizes[-1] is not None:
+            sizes[-1].append(np.size(q))
+        return inverse(q, alpha)
+
+    def counted_bound(*args):
+        before = len(sizes[-1])
+        out = bound_at(*args)
+        bound_inversions.append(len(sizes[-1]) - before)
+        return out
+
+    monkeypatch.setattr(continuous, "solve_lambda_star", counted_solve)
+    monkeypatch.setattr(continuous, "p_inverse", counted_inverse)
+    monkeypatch.setattr(manipulation, "_bound_at", counted_bound)
+    scan(_params(), _state(0.0), (1.0, 6.0), points=4, grid_points=400)
+    assert len(solves) == 4
+    assert bound_inversions == [0] * 4
+    for after in sizes:
+        assert len(after) <= 3
+        assert sum(size > 2 * 400 + 1 for size in after) == 1
 
 
 def test_scan_requires_flat_book():

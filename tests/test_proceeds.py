@@ -159,6 +159,19 @@ def test_impact_decay_profile_block_and_rate():
     assert impact_decay_profile(params, strat, 0.4) == pytest.approx(manual[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("beta", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("grid", [400, 1000])
+def test_impact_decay_profile_constant_rate_closed_form(beta, grid):
+    # D_r = alpha zeta (1 - e^{-beta r}) / beta; with 1.0 - c in the recurrence
+    # D was 1.7e-11 relative off at beta = 1e-3
+    alpha, zeta = 1.3, 0.7
+    strat = assemble_optimal(0.0, np.full(grid, zeta), 0.0, 1.0)
+    r = np.linspace(0.0, 1.0, 41)[1:]
+    exact = alpha * zeta * -np.expm1(-beta * r) / beta
+    d = impact_decay_profile(_params(alpha=alpha, beta=beta), strat, r)
+    assert np.max(np.abs(d - exact) / exact) <= 5e-14
+
+
 def test_quadrature_order_insensitivity():
     # doubling the rule order changes a smooth instance below 1e-9 rel
     params = _params(sigma=0.25)
