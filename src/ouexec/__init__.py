@@ -21,11 +21,11 @@ from .manipulation import (ManipulationReport, RoundTripBound, extended_schedule
                            l_eval, l_root, round_trip_profit_bound, scan)
 from .model import (DerivedQuantities, MarketState, ModelParams, Regime, classify,
                     derive)
-from .montecarlo import SimulationReport, simulate, simulate_discrete
+from .montecarlo import SimulationReport, simulate
 from .proceeds import (ProceedsBreakdown, expected_price_path, expected_proceeds,
                        impact_decay_profile, proceeds_breakdown)
 from .strategy import (DeltaFamily, ExecutionStrategy, assemble_optimal,
-                       initial_block, to_csv, total_sold)
+                       initial_block, period_blocks, to_csv, total_sold)
 from .zero_vol import ZeroVolSchedule, c_eval
 from .zero_vol import solve as solve_zero_vol
 
@@ -40,9 +40,9 @@ __all__ = [
     "derive", "discrete_value", "eta_star", "expected_price_path",
     "expected_proceeds", "extended_schedule", "fnk_eval", "fnk_inverse", "fnk_zero",
     "gradient", "h_eval", "hn_eval", "impact_decay_profile", "initial_block",
-    "l_eval", "l_root", "objective", "p_eval", "p_inverse", "periods",
+    "l_eval", "l_root", "objective", "p_eval", "p_inverse", "period_blocks", "periods",
     "proceeds_breakdown", "recover_psi", "round_trip_profit_bound", "scan",
-    "schedule", "simulate", "simulate_discrete", "solve_lambda_hat",
+    "schedule", "simulate", "solve_lambda_hat",
     "solve_lambda_star", "solve_zero_vol", "to_csv", "total_sold", "value",
     "value_block_form", "value_flow_form", "xi_star", "zeta_star",
 ]

@@ -26,7 +26,7 @@ from . import continuous, discrete, manipulation, montecarlo, svg
 from .errors import ConfigError, NumericalError, RegimeError
 from .model import MarketState, ModelParams, Regime, classify
 from .proceeds import expected_proceeds
-from .strategy import DeltaFamily, to_csv
+from .strategy import DeltaFamily, period_blocks, to_csv
 
 _PARAM_KEYS = ("alpha", "beta", "sigma", "F", "t", "w", "phi", "s")
 _OPTION_KEYS = ("grid_points", "tol", "paths", "steps", "seed",
@@ -232,7 +232,11 @@ def cmd_verify(params, state, opts, out_dir: Path, tol: float) -> int:
     grid_points = opts.get("grid_points", 1000)
 
     regime = classify(params, state)
-    v_cont = continuous.value(params, state, tol=tol)
+    if regime is Regime.GAP:  # no schedule: value() falls back to the n = 2000 solver
+        sched, v_cont = None, continuous.value(params, state, tol=tol)
+    else:
+        sched = continuous.schedule(params, state, grid_points=grid_points, tol=tol)
+        v_cont = sched.value
     rows = [("continuous", v_cont, "")]
     detail = {"regime": regime.value, "continuous_value": v_cont}
 
@@ -252,20 +256,17 @@ def cmd_verify(params, state, opts, out_dir: Path, tol: float) -> int:
         detail["brute_force"] = {"n": n_bf, "value": v_bf,
                                  "allocation": [float(v) for v in x_bf]}
 
-    if regime is Regime.GAP:
-        rep = montecarlo.simulate_discrete(params, state, psi, n_max,
-                                           paths=paths, seed=seed)
+    if sched is None:
+        strategy, steps = period_blocks(psi, n_max), psi.size
     else:
-        sched = continuous.schedule(params, state, grid_points=grid_points, tol=tol)
-        steps = _align_steps(steps, sched.strategy.cells)
-        rep = montecarlo.simulate(params, state, sched.strategy,
-                                  paths=paths, steps=steps, seed=seed)
+        strategy, steps = sched.strategy, _align_steps(steps, sched.strategy.cells)
         for delta in opts.get("delta_list", []):
-            fam = DeltaFamily(sched.strategy, delta)
+            fam = DeltaFamily(strategy, delta)
             v_delta = expected_proceeds(params, state, fam.realize())
             rows.append(("delta_family", v_delta, f"delta={delta!r}"))
             detail.setdefault("delta_family", []).append(
                 {"delta": delta, "value": v_delta})
+    rep = montecarlo.simulate(params, state, strategy, paths=paths, steps=steps, seed=seed)
     print(f"simulated {rep.paths} paths in {rep.elapsed:.2f}s", file=sys.stderr)
     rows.append(("monte_carlo", rep.mean_cash, f"se={rep.std_error!r}"))
     detail["monte_carlo"] = {"paths": rep.paths, "mean_cash": rep.mean_cash,

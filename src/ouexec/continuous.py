@@ -139,11 +139,6 @@ def _trajectory(params: ModelParams, state: MarketState, lam: float, times=(),
                        float(np.dot(weights, xi[:k])))
 
 
-def _xi_integral(params: ModelParams, state: MarketState, lam: float):
-    """Integral of xi*_r over [0, t] on the pinned nodes."""
-    return _trajectory(params, state, lam).j
-
-
 def h_eval(params: ModelParams, state: MarketState, lam: float,
            panels: int | None = None) -> float:
     """Constraint mismatch H(lam) = E(lam) - lam; the optimal multiplier is its root.
@@ -243,23 +238,13 @@ class ContinuousSchedule:
 def value(params: ModelParams, state: MarketState, tol: float = 1e-10) -> float:
     """Best attainable expected terminal cash for the current regime.
 
-    Small holdings and zero volatility have simple closed forms; large
-    holdings evaluates the block-decomposition formula at the solved
-    multiplier. The gap regime has no closed form and falls back to the
-    n = 2000 discrete solver (a numeric approximation, not a formula);
-    schedule() is the API that refuses the gap outright.
+    The value of schedule(), which holds the closed forms of every regime
+    and refuses z <= 2y. The gap regime under z > 2y has no closed form and
+    falls back to the n = 2000 discrete solver (a numeric approximation,
+    not a formula); schedule() is the API that refuses the gap outright.
     """
-    regime = classify(params, state)
-    d0 = derive(params, state)
-    if d0.z <= 2.0 * d0.y:
-        raise RegimeError(
-            f"z = {d0.z:.6g} <= 2y = {2.0 * d0.y:.6g}: no closed-form value "
-            "outside the standing assumption z > 2y")
-    if regime is Regime.SMALL_HOLDINGS:
-        return state.cash + state.price * block_factor(state.holdings, params.alpha)
-    if regime is Regime.ZERO_VOL:
-        return zero_vol.solve(params, state).value
-    if regime is Regime.GAP:
+    d = derive(params, state)
+    if d.z > 2.0 * d.y and classify(params, state) is Regime.GAP:
         from . import discrete
         n = 2000
         lam = discrete.solve_lambda_hat(params, state, n)

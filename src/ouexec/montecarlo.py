@@ -119,37 +119,3 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
     return SimulationReport(paths=n_paths, mean_cash=mean, std_error=se,
                             seed=seed, elapsed=time.perf_counter() - start)
 
-
-def simulate_discrete(params: ModelParams, state: MarketState, x_alloc, n: int,
-                      paths: int = 100_000, seed: int = 0) -> SimulationReport:
-    """Estimate expected cash of an n-period allocation by sampling periods."""
-    from .discrete import periods
-
-    start = time.perf_counter()
-    m, c = periods(params, n)
-    x_alloc = np.asarray(x_alloc, dtype=float)
-    if x_alloc.shape != (m,):
-        raise ConfigError(f"allocation must have {m} entries for n={n}")
-    d = derive(params, state)
-    a, sig = params.alpha, params.sigma
-    fund = params.fundamental_log
-
-    deterministic = sig == 0.0
-    n_paths = 1 if deterministic else paths
-    rng = None if deterministic else _rng(seed)
-    step_sd = 0.0 if deterministic else sig * math.sqrt(
-        (1.0 - c * c) / (2.0 * params.beta))
-
-    x = np.full(n_paths, fund + d.z)
-    cash = np.full(n_paths, state.cash, dtype=float)
-    for k in range(m):
-        cash += np.exp(x) * block_factor(float(x_alloc[k]), a)
-        if deterministic:
-            x = c * (x - a * x_alloc[k]) + (1.0 - c) * fund
-        else:
-            x = c * (x - a * x_alloc[k]) + (1.0 - c) * fund + step_sd * rng.standard_normal(n_paths)
-
-    mean = float(np.mean(cash))
-    se = 0.0 if n_paths == 1 else float(np.std(cash, ddof=1) / math.sqrt(n_paths))
-    return SimulationReport(paths=n_paths, mean_cash=mean, std_error=se,
-                            seed=seed, elapsed=time.perf_counter() - start)

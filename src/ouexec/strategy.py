@@ -118,6 +118,18 @@ def initial_block(phi: float, horizon: float = 1.0, cells: int = 1000) -> Execut
     return ExecutionStrategy(impulses=imps, density=np.zeros(cells), horizon=horizon)
 
 
+def period_blocks(x, n: int) -> ExecutionStrategy:
+    """An n-period allocation as a strategy: block x_k at time k/n, no gradual rate.
+
+    The horizon is len(x)/n, one idle cell per period; negative entries
+    (purchases) switch on extended_mode.
+    """
+    x = np.asarray(x, dtype=float)
+    return ExecutionStrategy(impulses=tuple((k / n, float(p)) for k, p in enumerate(x)),
+                             density=np.zeros(x.size), horizon=x.size / n,
+                             extended_mode=bool(np.any(x < 0.0)))
+
+
 def assemble_optimal(p_star: float, zeta_grid, q_star: float, horizon: float,
                      extended_mode: bool = False) -> ExecutionStrategy:
     """Combine initial block, gradual density, and terminal block.

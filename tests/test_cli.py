@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ouexec import cli
+from ouexec import cli, continuous
 from ouexec.errors import NumericalError
 
 E = 2.718281828459045
@@ -116,6 +116,36 @@ def test_verify_outputs(tmp_path):
     assert meta["delta_family"][0]["value"] < meta["continuous_value"]
     assert "z_score" in meta["monte_carlo"]
     _check_z_score(meta["monte_carlo"], meta["continuous_value"])
+
+
+def test_verify_gap_simulates_the_period_allocation(tmp_path):
+    # gap: the n = 2000 fallback value, and Monte Carlo of the n_max allocation as blocks
+    cfg = _write_config(tmp_path, "c.json", phi=1.5, paths=400, seed=1,
+                        n_list=[4, 16], delta_list=[0.1])
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    methods = [row.split(",")[0] for row in (out / "verify.csv").read_text().splitlines()[1:]]
+    assert methods == ["continuous", "discrete", "brute_force", "monte_carlo"]
+    meta = json.loads((out / "verify.json").read_text())
+    assert meta["regime"] == "gap"
+    assert "delta_family" not in meta
+    assert meta["monte_carlo"]["std_error"] > 0.0
+    _check_z_score(meta["monte_carlo"], meta["continuous_value"])
+
+
+def test_verify_solves_lambda_star_once(tmp_path, monkeypatch):
+    calls = []
+    solve = continuous.solve_lambda_star
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuous, "solve_lambda_star", counted)
+    cfg = _write_config(tmp_path, "c.json", grid_points=100, paths=50,
+                        steps=100, n_list=[4])
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_without_noise_has_no_z_score(tmp_path):

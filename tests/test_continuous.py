@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.special import lambertw
 
 import reference_values as ref
-from conftest import E, random_large_instance
+from conftest import E, random_large_instance, random_small_instance
 from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, Regime,
-                    RegimeError, expected_proceeds)
+                    RegimeError, classify, expected_proceeds)
 from ouexec import continuous
 from ouexec import zero_vol
 from ouexec.continuous import (h_eval, p_eval, p_inverse, schedule,
@@ -117,7 +117,7 @@ def test_schedule_matches_reference(ou_params, ref_state):
     # zeta integrates to exactly what the blocks leave over
     assert sched.density_integral == pytest.approx(
         ref_state.holdings - ref.OU_P_STAR - ref.OU_Q_STAR, rel=1e-10)
-    assert continuous._xi_integral(ou_params, ref_state, sched.lambda_star) == \
+    assert continuous._trajectory(ou_params, ref_state, sched.lambda_star).j == \
         pytest.approx(ref.OU_XI_INT, rel=1e-12)
     assert sched.zeta[0] == pytest.approx(ref.OU_ZETA0, rel=1e-11)
     assert sched.value == pytest.approx(ref.OU_VALUE, rel=1e-12)
@@ -266,10 +266,16 @@ def test_gap_regime_refuses_schedule_but_values(ou_params):
 
 
 def test_value_dispatch_matches_schedule(ou_params, zv_params, ref_state):
-    assert value(ou_params, ref_state) == pytest.approx(
-        schedule(ou_params, ref_state).value, rel=1e-13)
-    assert value(zv_params, ref_state) == pytest.approx(
-        zero_vol.solve(zv_params, ref_state).value, rel=1e-14)
+    # value() reads schedule()'s value outside the gap, bit for bit, at any grid
+    rng = np.random.default_rng(11)
+    small = MarketState(cash=0.0, holdings=0.5, price=E)
+    cases = [(ou_params, ref_state), (zv_params, ref_state), (ou_params, small)]
+    cases += [random_large_instance(rng) for _ in range(3)]
+    cases += [random_small_instance(rng) for _ in range(3)]
+    for params, state in cases:
+        assert value(params, state) == schedule(params, state, grid_points=1000).value
+    assert classify(ou_params, small) is Regime.SMALL_HOLDINGS
+    assert value(zv_params, ref_state) == zero_vol.solve(zv_params, ref_state).value
 
 
 def test_extended_mode_handles_small_phi(ou_params):
@@ -289,6 +295,11 @@ def test_standard_mode_refuses_outside_standing_assumption():
         warnings.simplefilter("ignore")
         with pytest.raises(RegimeError):
             schedule(params, state)
+        # a gap instance under z <= 2y is refused too, not priced by the n = 2000 fallback
+        gap = MarketState(cash=0.0, holdings=1.5, price=E)
+        assert classify(params, gap) is Regime.GAP
+        with pytest.raises(RegimeError):
+            value(params, gap)
 
 
 # ------------------------------------- cross-identity with the no-noise solve

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ouexec import (ConfigError, MarketState, ModelParams, expected_proceeds,
-                    simulate, simulate_discrete)
+from ouexec import ConfigError, MarketState, ModelParams, expected_proceeds, simulate
 from ouexec.continuous import schedule
 from ouexec.discrete import discrete_value, recover_psi, solve_lambda_hat
-from ouexec.strategy import ExecutionStrategy, assemble_optimal
+from ouexec.strategy import ExecutionStrategy, assemble_optimal, period_blocks
 
 
 def test_sigma_zero_is_exact(zv_params, ref_state):
@@ -75,14 +74,16 @@ def test_discrete_simulation_within_three_se(ou_params, ref_state):
     n = 10
     lam = solve_lambda_hat(ou_params, ref_state, n)
     psi = recover_psi(ou_params, ref_state, n, lam)
-    rep = simulate_discrete(ou_params, ref_state, psi, n, paths=30_000, seed=5)
+    rep = simulate(ou_params, ref_state, period_blocks(psi, n), paths=30_000,
+                   steps=psi.size, seed=5)
     target = discrete_value(ou_params, ref_state, psi, n)
     assert abs(rep.mean_cash - target) <= 3.0 * rep.std_error
 
 
 def test_discrete_simulation_sigma_zero_exact(zv_params, ref_state):
     psi = np.array([1.2, 0.9, 0.9])
-    rep = simulate_discrete(zv_params, ref_state, psi, 3, paths=10, seed=0)
+    rep = simulate(zv_params, ref_state, period_blocks(psi, 3), paths=10,
+                   steps=psi.size, seed=0)
     target = discrete_value(zv_params, ref_state, psi, 3)
     assert abs(rep.mean_cash - target) <= 1e-12 * max(1.0, abs(target))
     assert rep.std_error == 0.0
@@ -97,6 +98,6 @@ def test_integer_cash_is_accepted(ou_params, zv_params):
     exact = simulate(zv_params, state, strat, paths=1, steps=100, seed=0)
     assert exact.mean_cash == pytest.approx(
         expected_proceeds(zv_params, state, strat), rel=1e-9)
-    disc = simulate_discrete(ou_params, state, np.array([1.0, 1.0, 1.0]), 3,
-                             paths=200, seed=0)
+    disc = simulate(ou_params, state, period_blocks(np.array([1.0, 1.0, 1.0]), 3),
+                    paths=200, steps=3, seed=0)
     assert math.isfinite(disc.mean_cash) and disc.mean_cash > 0.0

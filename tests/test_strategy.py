@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ouexec import ConfigError
+from conftest import random_large_instance, random_small_instance
+from ouexec import ConfigError, MarketState, expected_proceeds
+from ouexec.discrete import discrete_value, recover_psi, solve_lambda_hat
 from ouexec.strategy import (DeltaFamily, ExecutionStrategy, assemble_optimal,
-                             initial_block, to_csv, total_sold)
+                             initial_block, period_blocks, to_csv, total_sold)
 
 
 def test_impulses_sorted_and_frozen():
@@ -50,6 +54,33 @@ def test_assemble_optimal_drops_zero_blocks():
 def test_total_sold_closed_form(p, q, rate, cells):
     s = assemble_optimal(p, np.full(cells, rate), q, 1.0)
     assert total_sold(s) == pytest.approx(p + q + rate, rel=1e-12, abs=1e-12)
+
+
+def test_period_blocks_shape():
+    x = np.array([0.5, 0.25, -0.125, 0.75, 0.5])
+    s = period_blocks(x, 8)
+    assert s.impulses == tuple((k / 8, float(p)) for k, p in enumerate(x))
+    assert s.horizon == 5 / 8 and s.cells == 5
+    assert np.all(s.density == 0.0)
+    assert total_sold(s) == pytest.approx(float(np.sum(x)), rel=1e-15)
+    assert s.extended_mode  # the purchase at k = 2
+    assert not period_blocks(np.abs(x), 8).extended_mode
+
+
+def test_period_blocks_priced_as_the_discrete_value(ou_params, zv_params, ref_state):
+    # the exact evaluator prices the n-period allocation as the discrete objective does
+    rng = np.random.default_rng(3)
+    cases = [(ou_params, ref_state), (zv_params, ref_state),
+             (ou_params, MarketState(cash=0.0, holdings=1.5, price=ref_state.price)),  # gap
+             random_large_instance(rng), random_small_instance(rng)]
+    for params, state in cases:
+        for n in (2, 3, 10, 100, 1000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # n t off the integers: idle tail
+                psi = recover_psi(params, state, n, solve_lambda_hat(params, state, n))
+                target = discrete_value(params, state, psi, n)
+            got = expected_proceeds(params, state, period_blocks(psi, n))
+            assert got == pytest.approx(target, rel=1e-13)
 
 
 def test_delta_family_preserves_total():
