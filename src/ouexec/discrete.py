@@ -25,6 +25,7 @@ psi_0 -> p*, n psi_k -> zeta*_{k/n}, psi_{m-1} -> q*.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -301,20 +302,73 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float,
     return psi
 
 
+def _lattice_start(params: ModelParams, state: MarketState, m: int, c: float,
+                   resolution: int) -> np.ndarray:
+    """Best point of the lattice x = phi i / resolution, sum i = resolution.
+
+    m >= 2 periods with decay factor c, as periods() returns them. The scan
+    takes one first count i_0 at a time and builds its slice as a tree of
+    count prefixes (i_0, ..., i_{k-1}) in lexicographic order. Each prefix
+    carries its partial maximand and the impact level A_k, so the factor
+    exp(c^k z - c^{2k} y - alpha A_k) is taken once per prefix and
+    1 - e^{-alpha x} once per count; the last period takes the rest. A
+    point's terms are objective()'s, added left to right. A slice keeps the
+    first index of its maximum, and the first slice holding the overall
+    maximum wins (a later slice replaces the running best only when strictly
+    larger), so ties go to the lexicographically smallest point.
+    """
+    d = derive(params, state)
+    a, y = params.alpha, params.y
+    step = state.holdings / resolution
+    count = np.arange(resolution + 1)
+    gain = -np.expm1(-a * (count * step))  # 1 - e^{-alpha x} of each count
+
+    def scale(ck, acc):
+        return np.exp(ck * d.z - ck * ck * y - a * acc)
+
+    # the first period for every slice at once: its term and A_1
+    head = scale(1.0, np.zeros(resolution + 1)) * gain
+    head_acc = c * (count * step)
+    best_val = np.empty(resolution + 1)
+    best_counts = np.empty((resolution + 1, m), dtype=int)
+    for i0 in range(resolution + 1):
+        total, acc = head[i0:i0 + 1], head_acc[i0:i0 + 1]
+        left, cols = np.array([resolution - i0]), [np.array([i0])]
+        ck = c
+        for _ in range(1, m - 1):
+            width = left + 1
+            parent = np.repeat(np.arange(left.size), width)
+            ik = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+            total = total[parent] + scale(ck, acc)[parent] * gain[ik]
+            acc = c * (acc[parent] + ik * step)
+            left = left[parent] - ik
+            cols = [col[parent] for col in cols] + [ik]
+            ck *= c
+        total = total + scale(ck, acc) * gain[left]
+        j = int(np.argmax(total))
+        best_val[i0] = total[j]
+        best_counts[i0] = [col[j] for col in cols] + [left[j]]
+    return best_counts[int(np.argmax(best_val))].astype(float) * step
+
+
 def brute_force(params: ModelParams, state: MarketState, n: int,
                 resolution: int = 200, sweeps: int = 50) -> tuple[np.ndarray, float]:
     """Independent maximizer for small m: lattice search plus refinement.
 
-    Scans the whole simplex {x >= 0, sum x = phi} at the given resolution
-    (ties resolved to the lexicographically smallest point), then runs
-    pairwise-transfer coordinate descent with a halving step. Only
-    feasible for m <= 4.
+    Scans the whole simplex {x >= 0, sum x = phi} at the given resolution,
+    one first-period count at a time, so its working memory is
+    O(resolution^(m-2)) rather than the O(resolution^(m-1)) of the full
+    lattice. A later slice's best replaces the running best only when it
+    is strictly larger, so ties resolve to the lexicographically smallest
+    point. Then it runs pairwise-transfer coordinate descent with a
+    halving step, for at most `sweeps` sweeps. Only feasible for m <= 4.
     """
+    for name, knob, low in (("resolution", resolution, 1), ("sweeps", sweeps, 0)):
+        if isinstance(knob, bool) or not isinstance(knob, numbers.Integral) or knob < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {knob!r}")
     m, c = periods(params, n)
     if m > 4:
         raise ConfigError("exhaustive search is limited to four periods")
-    d = derive(params, state)
-    a, y = params.alpha, params.y
     phi = state.holdings
     if phi < 0.0:
         raise ConfigError("holdings must be nonnegative")
@@ -324,31 +378,7 @@ def brute_force(params: ModelParams, state: MarketState, n: int,
         x = np.array([phi])
         return x, discrete_value(params, state, x, n)
 
-    # lattice: all compositions of `resolution` into m parts, lexicographic
-    axis = np.arange(resolution + 1, dtype=np.int32)
-    grids = np.meshgrid(*[axis] * (m - 1), indexing="ij")
-    counts = [g.ravel() for g in grids]
-    used = np.zeros_like(counts[0])
-    for g in counts:
-        used = used + g
-    feas = used <= resolution
-    cols = [g[feas] for g in counts] + [(resolution - used[feas]).astype(np.int32)]
-    x_all = np.stack(cols, axis=1).astype(float) * (phi / resolution)
-
-    def batch_objective(xs):
-        total = np.zeros(len(xs))
-        acc = np.zeros(len(xs))
-        ck = 1.0
-        for k in range(m):
-            total += np.exp(ck * d.z - ck * ck * y - a * acc) * (-np.expm1(-a * xs[:, k]))
-            acc = c * (acc + xs[:, k])
-            ck *= c
-        return total
-
-    vals = batch_objective(x_all)
-    best = int(np.argmax(vals))  # first index wins ties: lexicographic smallest
-    x = x_all[best].copy()
-
+    x = _lattice_start(params, state, m, c, resolution)
     f_best = objective(params, state, x, n)
     step = phi / resolution
     for _ in range(sweeps):

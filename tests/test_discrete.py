@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_large_instance
+import reference_brute_force
+from conftest import E, random_large_instance
 from ouexec import ConfigError, MarketState, ModelParams, NumericalError, discrete
 from ouexec.discrete import (brute_force, discrete_value, fnk_eval,
                              fnk_inverse, fnk_zero, gradient, hn_eval,
@@ -299,3 +302,64 @@ def test_random_instances_brute_vs_recovered():
         x_bf, v_bf = brute_force(params, state, n, resolution=120)
         assert v_bf == pytest.approx(discrete_value(params, state, psi, n), rel=1e-8)
         assert x_bf == pytest.approx(psi, abs=state.holdings / 120.0 * 1.5)
+
+
+@pytest.mark.parametrize("knobs", [{"resolution": 0}, {"resolution": -1}, {"resolution": 2.5},
+                                   {"sweeps": -1}, {"sweeps": 0.5}])
+def test_brute_force_rejects_bad_knobs(ou_params, ref_state, knobs):
+    with pytest.raises(ConfigError):
+        brute_force(ou_params, ref_state, 3, **knobs)
+
+
+def _oracle_cases():
+    """(params, state, n) for m = 2, 3, 4: large holdings, gap, zero volatility, n t not whole."""
+    rng = np.random.default_rng(2011)
+    groups = []
+    for i in range(2):
+        params, state = random_large_instance(rng)
+        groups.append((f"large{i}", dataclasses.replace(params, horizon=1.0), state, (2, 3, 4)))
+    ou = ModelParams(alpha=1.0, beta=1.0, sigma=0.2, fundamental_log=0.0, horizon=1.0)
+    zv = ModelParams(alpha=1.3, beta=0.7, sigma=0.0, fundamental_log=0.2, horizon=1.0)
+    groups.append(("gap", ou, MarketState(cash=0.25, holdings=1.5, price=E), (2, 3, 4)))
+    groups.append(("sigma0", zv, MarketState(cash=0.0, holdings=2.0, price=3.0), (2, 3, 4)))
+    # t = 0.9: n = 3, 4, 5 give m = 2, 3, 4 and leave the tail idle
+    params, state = random_large_instance(rng)
+    groups.append(("fractional", dataclasses.replace(params, horizon=0.9), state, (3, 4, 5)))
+    return [pytest.param(params, state, n, id=f"{name}-n{n}")
+            for name, params, state, ns in groups for n in ns]
+
+
+@pytest.mark.filterwarnings("ignore:n\\*t")
+@pytest.mark.parametrize("params, state, n", _oracle_cases())
+def test_lattice_start_matches_full_cube(params, state, n, monkeypatch):
+    m, c = periods(params, n)
+    x0 = discrete._lattice_start(params, state, m, c, 200)
+    assert np.array_equal(x0, reference_brute_force.lattice_start(params, state, m, c, 200))
+    x, v = brute_force(params, state, n)
+    monkeypatch.setattr(discrete, "_lattice_start", reference_brute_force.lattice_start)
+    x_ref, v_ref = brute_force(params, state, n)
+    assert np.array_equal(x, x_ref)
+    assert v == v_ref
+
+
+def test_lattice_start_exact_tie_keeps_first_point():
+    # c rounds to 1.0, and 163 of the 12,341 lattice points tie exactly at the
+    # maximum with different allocations: the lexicographically smallest wins
+    params = ModelParams(alpha=1.0, beta=1e-300, sigma=0.0, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=2.0, price=1.0)
+    m, c = periods(params, 4)
+    assert c == 1.0
+    x0 = discrete._lattice_start(params, state, m, c, 40)
+    assert np.array_equal(x0, np.array([0.0, 6.0, 32.0, 2.0]) * (2.0 / 40))
+    assert np.array_equal(x0, reference_brute_force.lattice_start(params, state, m, c, 40))
+
+
+def test_brute_force_memory_stays_below_the_cube(ou_params, ref_state):
+    # the full-cube reference lattice peaks at 247 MB here; one slice at a time needs 1.6 MB
+    tracemalloc.start()
+    try:
+        brute_force(ou_params, ref_state, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
