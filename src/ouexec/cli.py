@@ -33,7 +33,8 @@ _OPTION_KEYS = ("grid_points", "tol", "paths", "steps", "seed",
                 "n_list", "z_range", "delta_list")
 
 
-def _load_config(path: str):
+def _load_config(path: str, overrides: dict):
+    """Model, state and options of a config; overrides (command-line flags) pass the same checks."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as e:
@@ -42,6 +43,7 @@ def _load_config(path: str):
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    raw.update(overrides)
     unknown = sorted(set(raw) - set(_PARAM_KEYS) - set(_OPTION_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -65,11 +67,12 @@ def _load_config(path: str):
             continue
         v = raw[key]
         if key in ("grid_points", "paths", "steps", "seed"):
-            if isinstance(v, bool) or not isinstance(v, int) or (v < 0 if key == "seed" else v < 1):
-                raise ConfigError(f"config key {key!r} must be a positive integer")
+            low = 0 if key == "seed" else 1
+            if isinstance(v, bool) or not isinstance(v, int) or v < low:
+                raise ConfigError(f"option {key!r} must be an integer >= {low}")
         elif key == "tol":
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-                raise ConfigError("config key 'tol' must be a positive number")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+                raise ConfigError("option 'tol' must be a positive finite number")
             v = float(v)
         elif key == "n_list":
             if (not isinstance(v, list) or not v
@@ -200,16 +203,12 @@ def _align_steps(steps: int, cells: int) -> int:
     return aligned
 
 
-def cmd_simulate(params, state, opts, out_dir: Path, tol: float,
-                 paths=None, steps=None, seed=None) -> int:
-    paths = paths if paths is not None else opts.get("paths", 100_000)
-    steps = steps if steps is not None else opts.get("steps", 1_000)
-    seed = seed if seed is not None else opts.get("seed", 0)
+def cmd_simulate(params, state, opts, out_dir: Path, tol: float) -> int:
     grid_points = opts.get("grid_points", 1000)
     sched = continuous.schedule(params, state, grid_points=grid_points, tol=tol)
-    steps = _align_steps(steps, sched.strategy.cells)
-    rep = montecarlo.simulate(params, state, sched.strategy,
-                              paths=paths, steps=steps, seed=seed)
+    steps = _align_steps(opts.get("steps", 1_000), sched.strategy.cells)
+    rep = montecarlo.simulate(params, state, sched.strategy, paths=opts.get("paths", 100_000),
+                              steps=steps, seed=opts.get("seed", 0))
     print(f"simulated {rep.paths} paths in {rep.elapsed:.2f}s", file=sys.stderr)
     _write(out_dir, "simulate.json", _json_text({
         "paths": rep.paths,
@@ -340,15 +339,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        params, state, opts = _load_config(args.config)
-        tol = args.tol if args.tol is not None else opts.get("tol", 1e-10)
-        if tol <= 0:
-            raise ConfigError("tolerance must be positive")
-        out_dir = Path(args.out)
-        if args.command == "simulate":
-            return cmd_simulate(params, state, opts, out_dir, tol,
-                                paths=args.paths, steps=args.steps, seed=args.seed)
-        return _COMMANDS[args.command](params, state, opts, out_dir, tol)
+        flags = {k: v for k, v in vars(args).items() if k in _OPTION_KEYS and v is not None}
+        params, state, opts = _load_config(args.config, flags)
+        return _COMMANDS[args.command](params, state, opts, Path(args.out),
+                                       opts.get("tol", 1e-10))
     except RegimeError as e:
         print(json.dumps({"kind": "regime", "error": str(e)}), file=sys.stderr)
         return 2

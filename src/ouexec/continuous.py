@@ -121,16 +121,24 @@ def _zeta(params: ModelParams, xi, decay2):
 _Trajectory = namedtuple("_Trajectory", "weights node_decay2 node_xi decay2 xi j")
 
 
-def _trajectory(params: ModelParams, state: MarketState, lam: float, times=(),
-                panels: int | None = None) -> _Trajectory:
-    """xi*_r at lam on `panels` Gauss-Legendre panels of order 16 and at the times.
+def _panels(params: ModelParams) -> int:
+    """The model's xi* quadrature pin: a count (at least 8) of order-16 Gauss-Legendre panels.
 
-    One inversion covers both. The panels default to the solve's, pinned at
-    lambda = alpha e^{-y} / 2.
+    The adaptive xi* integral settles there at lambda0 = alpha e^{-y} / 2.
+    xi* reads alpha, beta, y and t alone, so the solve, the trajectory and
+    a scan over z share one pin.
     """
+    if params.alpha <= 0.0:
+        raise ConfigError("alpha must be positive")
+    lam0 = 0.5 * params.alpha * math.exp(-params.y)
+    _, panels = adaptive_quad(lambda r: xi_star(params, None, lam0, r), 0.0, params.horizon,
+                              rel_tol=1e-13, abs_tol=1e-15)
+    return max(panels, 8)
+
+
+def _trajectory(params: ModelParams, lam: float, panels: int, times=()) -> _Trajectory:
+    """xi*_r at lam on the `panels` pinned panels and at the times; one inversion covers both."""
     a = params.alpha
-    if panels is None:
-        panels = _panels(params, state, 0.5 * a * math.exp(-params.y))
     nodes, weights = panel_nodes(0.0, params.horizon, panels, 16)
     decay2 = np.exp(-2.0 * params.beta * np.concatenate([nodes, np.asarray(times, dtype=float)]))
     xi = p_inverse(np.exp(-decay2 * params.y) * lam / a, a)
@@ -139,30 +147,20 @@ def _trajectory(params: ModelParams, state: MarketState, lam: float, times=(),
                        float(np.dot(weights, xi[:k])))
 
 
-def h_eval(params: ModelParams, state: MarketState, lam: float,
-           panels: int | None = None) -> float:
+def h_eval(params: ModelParams, state: MarketState, lam: float) -> float:
     """Constraint mismatch H(lam) = E(lam) - lam; the optimal multiplier is its root.
 
     E(lam) = alpha exp(alpha beta int_0^t xi*_r dr - alpha phi + z - y) is
     positive and decreasing, with E(0) = alpha exp(beta t - alpha phi + z - y),
-    so H has slope <= -1. The xi integral runs on `panels` Gauss-Legendre
-    panels of order 16, by default as many as the adaptive rule needs.
+    so H has slope <= -1. The xi integral runs on the model's pinned panels,
+    the discretization solve_lambda_star finds the root of.
     """
-    if params.alpha <= 0.0:
-        raise ConfigError("alpha must be positive")
     if lam < 0.0:
         raise ConfigError("the multiplier is nonnegative")
-    log_e = _log_e_with_slope(params, state, lam, panels or _panels(params, state, lam))[0]
+    log_e = _log_e_with_slope(params, state, lam, _panels(params))[0]
     if not log_e <= LOG_FLOAT_MAX:
         raise NumericalError(f"H({lam:.6g}) is beyond the float range: log E = {log_e:.6g}")
     return math.exp(log_e) - lam
-
-
-def _panels(params: ModelParams, state: MarketState, lam: float) -> int:
-    """Panel count (at least 8) at which the adaptive xi integral settles for lam."""
-    _, panels = adaptive_quad(lambda r: xi_star(params, state, lam, r), 0.0, params.horizon,
-                              rel_tol=1e-13, abs_tol=1e-15, return_panels=True)
-    return max(panels, 8)
 
 
 def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
@@ -175,7 +173,7 @@ def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
     """
     d = derive(params, state)
     a, b = params.alpha, params.beta
-    tr = _trajectory(params, state, lam, panels=panels)
+    tr = _trajectory(params, lam, panels)
     w = 1.0 - a * tr.node_xi
     log_e = math.log(a) + a * b * tr.j - a * state.holdings + d.z - d.y
     return log_e, -b * float(np.dot(tr.weights, w / (1.0 + w)))
@@ -186,25 +184,27 @@ def solve_lambda_star(params: ModelParams, state: MarketState,
     """Root of H.
 
     Standard mode requires phi > max(z, 1 + beta)/alpha; extended mode
-    accepts any phi (including zero, for round-trip analysis). The xi
-    quadrature is pinned once, at the panel count the adaptive rule needs
-    for lambda = alpha e^{-y} / 2, so every iterate sees the same
-    discretization; solve_multiplier then finds the root, and the result
-    must leave |H| <= tol lambda (relative down to the smallest normal
-    float).
+    accepts any phi (including zero, for round-trip analysis). The root is
+    found on the model's pinned xi quadrature (see _solve_lambda).
     """
-    a = params.alpha
-    if a <= 0.0:
-        raise ConfigError("alpha must be positive")
     if not extended:
         regime = classify(params, state)
         if regime is not Regime.LARGE_HOLDINGS:
             raise RegimeError(
                 f"closed form requires phi > max(z, 1+beta)/alpha; regime is {regime.value}")
+    return _solve_lambda(params, state, _panels(params), tol)
 
-    panels = _panels(params, state, 0.5 * a * math.exp(-params.y))
+
+def _solve_lambda(params: ModelParams, state: MarketState, panels: int,
+                  tol: float = 1e-10) -> float:
+    """Root of H on the `panels` pinned panels, so every iterate sees one discretization.
+
+    The root must leave |H| <= tol lambda (relative down to the smallest
+    normal float) on the same panels; E is decreasing and E(0) < e^700, so
+    E(lambda) is finite.
+    """
     lam = solve_multiplier(lambda lam: _log_e_with_slope(params, state, lam, panels))
-    resid = abs(h_eval(params, state, lam, panels=panels))
+    resid = abs(math.exp(_log_e_with_slope(params, state, lam, panels)[0]) - lam)
     if not resid <= tol * max(lam, FLOAT_TINY):
         raise NumericalError(f"multiplier residual {resid:.3e} above tolerance {tol:.1e}")
     return lam
@@ -279,7 +279,7 @@ def value_block_form(params: ModelParams, state: MarketState, lam: float, p_star
     the non-martingale drift correction enters through an integral of
     xi* e^{-alpha eta*}, taken on the pinned nodes of the multiplier solve.
     """
-    tr = _trajectory(params, state, lam, [params.horizon])
+    tr = _trajectory(params, lam, _panels(params), [params.horizon])
     return _value_block(params, state, tr, p_star, q_star, float(tr.xi[0]))
 
 
@@ -292,7 +292,7 @@ def value_flow_form(params: ModelParams, state: MarketState, lam: float) -> floa
     """
     d = derive(params, state)
     a, b = params.alpha, params.beta
-    tr = _trajectory(params, state, lam)
+    tr = _trajectory(params, lam, _panels(params))
     grad = float(np.dot(tr.weights, tr.node_xi * np.exp(
         params.fundamental_log - a * tr.node_xi + (1.0 + tr.node_decay2) * d.y)))
     v = (state.price / a) * (1.0 - math.exp(-a * state.holdings + a * b * tr.j))
@@ -314,8 +314,9 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
 
 
 def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: float = 1e-10,
-              extended: bool = False) -> tuple[ContinuousSchedule, _Trajectory | None]:
-    """schedule(), and the trajectory of the multiplier where one was solved for."""
+              extended: bool = False,
+              panels: int | None = None) -> tuple[ContinuousSchedule, _Trajectory | None]:
+    """schedule() and the solved multiplier's trajectory; panels is the xi* pin, if held."""
     d = derive(params, state)
     a, b, t = params.alpha, params.beta, params.horizon
     phi, s = state.holdings, state.price
@@ -355,9 +356,10 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
             "holdings fall between the small- and large-holdings conditions; "
             "no closed form applies (use the discrete approximation)")
     else:
-        lam = solve_lambda_star(params, state, tol=tol, extended=extended)
+        panels = panels or _panels(params)
+        lam = _solve_lambda(params, state, panels, tol)
         # the grid, then the cell midpoints at which the strategy samples the rate
-        tr = _trajectory(params, state, lam, np.append(times, 0.5 * (times[:-1] + times[1:])))
+        tr = _trajectory(params, lam, panels, np.append(times, 0.5 * (times[:-1] + times[1:])))
         n = times.size
         xi, decay2 = tr.xi[:n], tr.decay2[:n]
         zeta, mid_zeta = np.split(_zeta(params, tr.xi, tr.decay2), [n])

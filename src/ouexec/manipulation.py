@@ -89,8 +89,9 @@ def round_trip_profit_bound(params: ModelParams, state: MarketState) -> RoundTri
     """Analytic lower bound on the expected profit of the phi = 0 round trip."""
     if abs(state.holdings) > 1e-12:
         raise ConfigError("round trips require phi = 0")
-    lam = continuous.solve_lambda_star(params, state, extended=True)
-    return _bound_at(params, state, lam, continuous._trajectory(params, state, lam))
+    panels = continuous._panels(params)
+    lam = continuous._solve_lambda(params, state, panels)
+    return _bound_at(params, state, lam, continuous._trajectory(params, lam, panels))
 
 
 def _bound_at(params: ModelParams, state: MarketState, lam: float,
@@ -146,10 +147,11 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
     l_vals = np.asarray(l_eval(zs, params.beta, params.horizon))
     bounds = np.empty(points)
     profits = np.empty(points)
+    panels = continuous._panels(params)  # xi* reads the model alone: one pin for every z
     for i, z in enumerate(zs):
         price = math.exp(params.fundamental_log + z)
         st = MarketState(cash=state.cash, holdings=0.0, price=price)
-        sched, tr = continuous._schedule(params, st, grid_points, extended=True)
+        sched, tr = continuous._schedule(params, st, grid_points, extended=True, panels=panels)
         bounds[i] = _bound_at(params, st, sched.lambda_star, tr).bound
         profits[i] = expected_proceeds(params, st, sched.strategy) - state.cash
 

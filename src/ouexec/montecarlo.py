@@ -18,6 +18,7 @@ of hardware.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -55,6 +56,8 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
     """
     if paths < 1 or steps < 1:
         raise ConfigError("paths and steps must be positive")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if steps % strategy.cells != 0:
         raise ConfigError("steps must be a multiple of the strategy grid cells")
     start = time.perf_counter()

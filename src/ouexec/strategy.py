@@ -62,9 +62,6 @@ class ExecutionStrategy:
     def cell_width(self) -> float:
         return self.horizon / self.density.size
 
-    def contains_purchase(self) -> bool:
-        return any(p < 0.0 for _, p in self.impulses) or bool(np.any(self.density < 0.0))
-
 
 @dataclass(frozen=True)
 class DeltaFamily:
@@ -82,18 +79,15 @@ class DeltaFamily:
         if not (0.0 < self.delta <= self.base.horizon):
             raise ConfigError(f"delta must be in (0, horizon], got {self.delta}")
 
-    def realize(self, cells: int | None = None) -> ExecutionStrategy:
-        """Build the finite-delta strategy on a grid aligned with delta."""
+    def realize(self) -> ExecutionStrategy:
+        """Build the finite-delta strategy on the coarsest grid that refines the base and delta."""
         t = self.base.horizon
-        if cells is None:
-            windows = t / self.delta
-            m = int(round(windows))
-            if abs(windows - m) > 1e-9 * max(1.0, windows):
-                raise ConfigError("delta must divide the horizon (or pass an aligned cell count)")
-            cells = math.lcm(self.base.cells, m)
+        windows = t / self.delta
+        m = int(round(windows))
+        if abs(windows - m) > 1e-9 * max(1.0, windows):
+            raise ConfigError("delta must divide the horizon")
+        cells = math.lcm(self.base.cells, m)
         w = t / cells
-        if cells % self.base.cells != 0:
-            raise ConfigError("cell count must refine the base grid")
         dens = np.repeat(self.base.density, cells // self.base.cells).astype(float)
         span = self.delta / w
         n_span = int(round(span))

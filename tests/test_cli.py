@@ -135,13 +135,13 @@ def test_verify_gap_simulates_the_period_allocation(tmp_path):
 
 def test_verify_solves_lambda_star_once(tmp_path, monkeypatch):
     calls = []
-    solve = continuous.solve_lambda_star
+    solve = continuous._solve_lambda
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(continuous, "solve_lambda_star", counted)
+    monkeypatch.setattr(continuous, "_solve_lambda", counted)
     cfg = _write_config(tmp_path, "c.json", grid_points=100, paths=50,
                         steps=100, n_list=[4])
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -231,6 +231,29 @@ def test_bad_tolerance_rejected(tmp_path):
     cfg = _write_config(tmp_path, "c.json")
     assert cli.main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "o"), "--tol", "-1"]) == 1
+
+
+@pytest.mark.parametrize("flag,config_text", [
+    ("nan", None), ("inf", None), (None, "NaN"), (None, "Infinity"),
+])
+def test_non_finite_tolerance_is_config_error(tmp_path, capsys, flag, config_text):
+    # json reads NaN and Infinity; neither may switch the residual checks off
+    cfg = _write_config(tmp_path, "c.json")
+    if config_text is not None:
+        cfg.write_text(cfg.read_text()[:-1] + f', "tol": {config_text}}}')
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert cli.main(argv + (["--tol", flag] if flag else [])) == 1
+    reason = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert reason["kind"] == "config"
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", grid_points=100, paths=50, steps=100)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 1
+    reason = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert reason["kind"] == "config" and "seed" in reason["error"]
 
 
 @pytest.mark.parametrize("key,value", [

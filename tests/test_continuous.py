@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -11,11 +12,12 @@ import reference_values as ref
 from conftest import E, random_large_instance, random_small_instance
 from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, Regime,
                     RegimeError, classify, expected_proceeds)
-from ouexec import continuous
+from ouexec import continuous, numerics
 from ouexec import zero_vol
 from ouexec.continuous import (h_eval, p_eval, p_inverse, schedule,
                                solve_lambda_star, value, value_block_form,
                                value_flow_form, xi_star, zeta_star)
+from ouexec.manipulation import scan
 from ouexec.numerics import adaptive_quad
 
 
@@ -117,8 +119,8 @@ def test_schedule_matches_reference(ou_params, ref_state):
     # zeta integrates to exactly what the blocks leave over
     assert sched.density_integral == pytest.approx(
         ref_state.holdings - ref.OU_P_STAR - ref.OU_Q_STAR, rel=1e-10)
-    assert continuous._trajectory(ou_params, ref_state, sched.lambda_star).j == \
-        pytest.approx(ref.OU_XI_INT, rel=1e-12)
+    tr = continuous._trajectory(ou_params, sched.lambda_star, continuous._panels(ou_params))
+    assert tr.j == pytest.approx(ref.OU_XI_INT, rel=1e-12)
     assert sched.zeta[0] == pytest.approx(ref.OU_ZETA0, rel=1e-11)
     assert sched.value == pytest.approx(ref.OU_VALUE, rel=1e-12)
 
@@ -156,9 +158,10 @@ def test_value_forms_agree(ou_params, ref_state):
 
 @pytest.mark.parametrize("extended", [False, True])
 def test_schedule_inverts_once_after_the_solve(monkeypatch, ou_params, ref_state, extended):
-    # once lambda* is known: the panel pin, then one inversion on the nodes and the grid
+    # the panel pin comes before the solve; once lambda* is known, one inversion on
+    # the nodes and the grid
     solved, sizes = [], []
-    solve, inverse = continuous.solve_lambda_star, continuous.p_inverse
+    solve, inverse = continuous._solve_lambda, continuous.p_inverse
 
     def counted_solve(*args, **kwargs):
         solved.append(solve(*args, **kwargs))
@@ -169,13 +172,47 @@ def test_schedule_inverts_once_after_the_solve(monkeypatch, ou_params, ref_state
             sizes.append(np.size(q))
         return inverse(q, alpha)
 
-    monkeypatch.setattr(continuous, "solve_lambda_star", counted_solve)
+    monkeypatch.setattr(continuous, "_solve_lambda", counted_solve)
     monkeypatch.setattr(continuous, "p_inverse", counted_inverse)
     state = MarketState(cash=0.0, holdings=0.0, price=math.exp(3.0)) if extended else ref_state
     schedule(ou_params, state, grid_points=400, extended=extended)
     assert len(solved) == 1
-    assert len(sizes) <= 3
+    assert len(sizes) == 1
     assert sum(size > 2 * 400 + 1 for size in sizes) == 1
+
+
+@pytest.mark.parametrize("case,pins", [
+    ("large", 1), ("extended", 1), ("solve", 1), ("scan3", 1), ("scan12", 1),
+    ("zero_vol", 0), ("small", 0),
+])
+def test_one_xi_pin_per_request(monkeypatch, ou_params, zv_params, ref_state, case, pins):
+    # xi* reads the model alone, so a request runs the adaptive rule at most once
+    calls = []
+    quad = numerics.adaptive_quad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("ouexec") and \
+                getattr(mod, "adaptive_quad", None) is quad:
+            monkeypatch.setattr(mod, "adaptive_quad", counted)
+    round_trip = MarketState(cash=0.0, holdings=0.0, price=math.exp(3.0))
+    run = {
+        "large": lambda: schedule(ou_params, ref_state, grid_points=100),
+        "extended": lambda: schedule(ou_params, round_trip, grid_points=100, extended=True),
+        "solve": lambda: solve_lambda_star(ou_params, ref_state),
+        "scan3": lambda: scan(ou_params, round_trip, (1.0, 6.0), points=3, grid_points=50),
+        "scan12": lambda: scan(ou_params, round_trip, (1.0, 6.0), points=12, grid_points=50),
+        "zero_vol": lambda: schedule(zv_params, ref_state, grid_points=100),
+        "small": lambda: schedule(ou_params, MarketState(cash=0.0, holdings=0.5, price=E),
+                                  grid_points=100),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run()
+    assert len(calls) == pins
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,7 +230,7 @@ def test_pinned_node_integrals_match_adaptive_quadrature(log_alpha, log_beta, si
     phi = max(z, 1.0 + b) / a * scale if large else 0.0
     state = MarketState(cash=0.0, holdings=phi, price=math.exp(z))
     lam = solve_lambda_star(params, state, extended=True)
-    tr = continuous._trajectory(params, state, lam)
+    tr = continuous._trajectory(params, lam, continuous._panels(params))
     w, xi, decay2 = tr.weights, tr.node_xi, tr.node_decay2
     # J, the density integral, the block-form kernel and the round-trip bound kernel
     kernels = [lambda x, d: x,
@@ -206,7 +243,7 @@ def test_pinned_node_integrals_match_adaptive_quadrature(log_alpha, log_beta, si
     for k in kernels:
         pinned = np.dot(w, k(xi, decay2))
         f = lambda r: k(xi_star(params, state, lam, r), np.exp(-2.0 * b * r))
-        adaptive = adaptive_quad(f, 0.0, t, rel_tol=1e-13, abs_tol=0.0)
+        adaptive, _ = adaptive_quad(f, 0.0, t, rel_tol=1e-13, abs_tol=0.0)
         floor = np.dot(w, np.abs(k(xi + shift, decay2) - k(xi, decay2)))
         # relative to the integral of |f|: xi* and zeta* change sign on round trips
         assert abs(pinned - adaptive) <= 1e-14 * np.dot(w, np.abs(k(xi, decay2))) + floor

@@ -70,6 +70,14 @@ def test_steps_must_align_with_cells(ou_params, ref_state):
         simulate(ou_params, ref_state, strat, paths=10, steps=100, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
+def test_seed_must_be_a_nonnegative_integer(ou_params, zv_params, ref_state, seed):
+    strat = ExecutionStrategy(impulses=(), density=np.full(10, 0.5), horizon=1.0)
+    for params in (ou_params, zv_params):  # also where no generator is drawn from
+        with pytest.raises(ConfigError):
+            simulate(params, ref_state, strat, paths=10, steps=100, seed=seed)
+
+
 def test_discrete_simulation_within_three_se(ou_params, ref_state):
     n = 10
     lam = solve_lambda_hat(ou_params, ref_state, n)
