@@ -69,8 +69,8 @@ def p_inverse(q, alpha: float):
     return float(x[0]) if scalar else x
 
 
-def xi_star(params: ModelParams, state: MarketState, lam: float, r):
-    """Optimal log expected-price deviation at times r for multiplier lam."""
+def xi_star(params: ModelParams, lam: float, r):
+    """Optimal log expected-price deviation at times r for multiplier lam; it reads the model alone."""
     scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     g = np.exp(-np.exp(-2.0 * params.beta * r) * params.y)
@@ -84,7 +84,7 @@ def eta_star(params: ModelParams, state: MarketState, lam: float, r):
     scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     a = params.alpha
-    out = (xi_star(params, state, lam, r)
+    out = (xi_star(params, lam, r)
            - (1.0 + np.exp(-2.0 * params.beta * r)) * d.y / a + d.z / a)
     return float(out[0]) if scalar else out
 
@@ -100,7 +100,7 @@ def zeta_star(params: ModelParams, state: MarketState, lam: float, r, form: str 
     r = np.atleast_1d(np.asarray(r, dtype=float))
     a, b, y = params.alpha, params.beta, params.y
     decay2 = np.exp(-2.0 * b * r)
-    xi = xi_star(params, state, lam, r)
+    xi = xi_star(params, lam, r)
     if form == "reduced":
         out = _zeta(params, xi, decay2)
     elif form == "direct":
@@ -131,7 +131,7 @@ def _panels(params: ModelParams) -> int:
     if params.alpha <= 0.0:
         raise ConfigError("alpha must be positive")
     lam0 = 0.5 * params.alpha * math.exp(-params.y)
-    _, panels = adaptive_quad(lambda r: xi_star(params, None, lam0, r), 0.0, params.horizon,
+    _, panels = adaptive_quad(lambda r: xi_star(params, lam0, r), 0.0, params.horizon,
                               rel_tol=1e-13, abs_tol=1e-15)
     return max(panels, 8)
 
@@ -147,17 +147,19 @@ def _trajectory(params: ModelParams, lam: float, panels: int, times=()) -> _Traj
                        float(np.dot(weights, xi[:k])))
 
 
-def h_eval(params: ModelParams, state: MarketState, lam: float) -> float:
+def h_eval(params: ModelParams, state: MarketState, lam: float,
+           panels: int | None = None) -> float:
     """Constraint mismatch H(lam) = E(lam) - lam; the optimal multiplier is its root.
 
     E(lam) = alpha exp(alpha beta int_0^t xi*_r dr - alpha phi + z - y) is
     positive and decreasing, with E(0) = alpha exp(beta t - alpha phi + z - y),
     so H has slope <= -1. The xi integral runs on the model's pinned panels,
-    the discretization solve_lambda_star finds the root of.
+    the discretization solve_lambda_star finds the root of; `panels` is that
+    pin, _panels(params), for a caller that already holds it.
     """
     if lam < 0.0:
         raise ConfigError("the multiplier is nonnegative")
-    log_e = _log_e_with_slope(params, state, lam, _panels(params))[0]
+    log_e = _log_e_with_slope(params, state, lam, panels or _panels(params))[0]
     if not log_e <= LOG_FLOAT_MAX:
         raise NumericalError(f"H({lam:.6g}) is beyond the float range: log E = {log_e:.6g}")
     return math.exp(log_e) - lam
@@ -179,32 +181,24 @@ def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
     return log_e, -b * float(np.dot(tr.weights, w / (1.0 + w)))
 
 
-def solve_lambda_star(params: ModelParams, state: MarketState,
-                      tol: float = 1e-10, extended: bool = False) -> float:
+def solve_lambda_star(params: ModelParams, state: MarketState, tol: float = 1e-10,
+                      extended: bool = False, panels: int | None = None) -> float:
     """Root of H.
 
     Standard mode requires phi > max(z, 1 + beta)/alpha; extended mode
-    accepts any phi (including zero, for round-trip analysis). The root is
-    found on the model's pinned xi quadrature (see _solve_lambda).
+    accepts any phi (including zero, for round-trip analysis). Every
+    iterate sees one discretization, the model's pinned xi quadrature
+    (`panels`, as in h_eval); the root must leave |H| <= tol lambda
+    (relative down to the smallest normal float) on the same panels.
     """
     if not extended:
         regime = classify(params, state)
         if regime is not Regime.LARGE_HOLDINGS:
             raise RegimeError(
                 f"closed form requires phi > max(z, 1+beta)/alpha; regime is {regime.value}")
-    return _solve_lambda(params, state, _panels(params), tol)
-
-
-def _solve_lambda(params: ModelParams, state: MarketState, panels: int,
-                  tol: float = 1e-10) -> float:
-    """Root of H on the `panels` pinned panels, so every iterate sees one discretization.
-
-    The root must leave |H| <= tol lambda (relative down to the smallest
-    normal float) on the same panels; E is decreasing and E(0) < e^700, so
-    E(lambda) is finite.
-    """
+    panels = panels or _panels(params)
     lam = solve_multiplier(lambda lam: _log_e_with_slope(params, state, lam, panels))
-    resid = abs(math.exp(_log_e_with_slope(params, state, lam, panels)[0]) - lam)
+    resid = abs(h_eval(params, state, lam, panels))
     if not resid <= tol * max(lam, FLOAT_TINY):
         raise NumericalError(f"multiplier residual {resid:.3e} above tolerance {tol:.1e}")
     return lam
@@ -357,7 +351,7 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
             "no closed form applies (use the discrete approximation)")
     else:
         panels = panels or _panels(params)
-        lam = _solve_lambda(params, state, panels, tol)
+        lam = solve_lambda_star(params, state, tol=tol, extended=extended, panels=panels)
         # the grid, then the cell midpoints at which the strategy samples the rate
         tr = _trajectory(params, lam, panels, np.append(times, 0.5 * (times[:-1] + times[1:])))
         n = times.size

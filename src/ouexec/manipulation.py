@@ -90,7 +90,7 @@ def round_trip_profit_bound(params: ModelParams, state: MarketState) -> RoundTri
     if abs(state.holdings) > 1e-12:
         raise ConfigError("round trips require phi = 0")
     panels = continuous._panels(params)
-    lam = continuous._solve_lambda(params, state, panels)
+    lam = continuous.solve_lambda_star(params, state, extended=True, panels=panels)
     return _bound_at(params, state, lam, continuous._trajectory(params, lam, panels))
 
 

@@ -135,13 +135,13 @@ def test_verify_gap_simulates_the_period_allocation(tmp_path):
 
 def test_verify_solves_lambda_star_once(tmp_path, monkeypatch):
     calls = []
-    solve = continuous._solve_lambda
+    solve = continuous.solve_lambda_star
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(continuous, "_solve_lambda", counted)
+    monkeypatch.setattr(continuous, "solve_lambda_star", counted)
     cfg = _write_config(tmp_path, "c.json", grid_points=100, paths=50,
                         steps=100, n_list=[4])
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

@@ -161,7 +161,7 @@ def test_schedule_inverts_once_after_the_solve(monkeypatch, ou_params, ref_state
     # the panel pin comes before the solve; once lambda* is known, one inversion on
     # the nodes and the grid
     solved, sizes = [], []
-    solve, inverse = continuous._solve_lambda, continuous.p_inverse
+    solve, inverse = continuous.solve_lambda_star, continuous.p_inverse
 
     def counted_solve(*args, **kwargs):
         solved.append(solve(*args, **kwargs))
@@ -172,7 +172,7 @@ def test_schedule_inverts_once_after_the_solve(monkeypatch, ou_params, ref_state
             sizes.append(np.size(q))
         return inverse(q, alpha)
 
-    monkeypatch.setattr(continuous, "_solve_lambda", counted_solve)
+    monkeypatch.setattr(continuous, "solve_lambda_star", counted_solve)
     monkeypatch.setattr(continuous, "p_inverse", counted_inverse)
     state = MarketState(cash=0.0, holdings=0.0, price=math.exp(3.0)) if extended else ref_state
     schedule(ou_params, state, grid_points=400, extended=extended)
@@ -242,7 +242,7 @@ def test_pinned_node_integrals_match_adaptive_quadrature(log_alpha, log_beta, si
     shift = 4.0 * np.finfo(float).eps * (1.0 + np.abs(1.0 - a * xi)) / a
     for k in kernels:
         pinned = np.dot(w, k(xi, decay2))
-        f = lambda r: k(xi_star(params, state, lam, r), np.exp(-2.0 * b * r))
+        f = lambda r: k(xi_star(params, lam, r), np.exp(-2.0 * b * r))
         adaptive, _ = adaptive_quad(f, 0.0, t, rel_tol=1e-13, abs_tol=0.0)
         floor = np.dot(w, np.abs(k(xi + shift, decay2) - k(xi, decay2)))
         # relative to the integral of |f|: xi* and zeta* change sign on round trips

@@ -124,15 +124,15 @@ def test_scan_low_window_profitable_under_volatility():
 def test_scan_solves_the_multiplier_once_per_point(monkeypatch):
     # every point solves on the one pin the scan took for the model
     calls = []
-    solve = continuous._solve_lambda
+    solve = continuous.solve_lambda_star
 
-    def counted(params, state, panels, *args, **kwargs):
-        calls.append(panels)
-        return solve(params, state, panels, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append((kwargs.get("extended"), kwargs.get("panels")))
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(continuous, "_solve_lambda", counted)
+    monkeypatch.setattr(continuous, "solve_lambda_star", counted)
     rep = scan(_params(), _state(0.0), (1.0, 6.0), points=5, grid_points=100)
-    assert calls == [continuous._panels(_params())] * 5
+    assert calls == [(True, continuous._panels(_params()))] * 5
     # the bound at the schedule's multiplier is the stand-alone bound
     rtb = round_trip_profit_bound(_params(), _state(float(rep.z_values[2])))
     assert rep.profit_bounds[2] == pytest.approx(rtb.bound, rel=1e-14)
@@ -141,7 +141,7 @@ def test_scan_solves_the_multiplier_once_per_point(monkeypatch):
 def test_scan_bound_reads_the_schedule_trajectory(monkeypatch):
     # per point: one solve and one inversion; the bound inverts nothing
     solves, sizes, bound_inversions = [], [], []
-    solve, inverse, bound_at = (continuous._solve_lambda, continuous.p_inverse,
+    solve, inverse, bound_at = (continuous.solve_lambda_star, continuous.p_inverse,
                                 manipulation._bound_at)
 
     def counted_solve(*args, **kwargs):
@@ -161,7 +161,7 @@ def test_scan_bound_reads_the_schedule_trajectory(monkeypatch):
         bound_inversions.append(len(sizes[-1]) - before)
         return out
 
-    monkeypatch.setattr(continuous, "_solve_lambda", counted_solve)
+    monkeypatch.setattr(continuous, "solve_lambda_star", counted_solve)
     monkeypatch.setattr(continuous, "p_inverse", counted_inverse)
     monkeypatch.setattr(manipulation, "_bound_at", counted_bound)
     scan(_params(), _state(0.0), (1.0, 6.0), points=4, grid_points=400)
