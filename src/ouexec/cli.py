@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import continuous, discrete, manipulation, montecarlo, svg
-from .errors import ConfigError, NumericalError, RegimeError
+from .errors import ConfigError, NumericalError, RegimeError, check_int
 from .model import MarketState, ModelParams, Regime, classify
 from .proceeds import expected_proceeds
-from .strategy import DeltaFamily, period_blocks, to_csv
+from .strategy import period_blocks, realize_delta, to_csv
 
 _PARAM_KEYS = ("alpha", "beta", "sigma", "F", "t", "w", "phi", "s")
 _OPTION_KEYS = ("grid_points", "tol", "paths", "steps", "seed",
@@ -67,9 +67,7 @@ def _load_config(path: str, overrides: dict):
             continue
         v = raw[key]
         if key in ("grid_points", "paths", "steps", "seed"):
-            low = 0 if key == "seed" else 1
-            if isinstance(v, bool) or not isinstance(v, int) or v < low:
-                raise ConfigError(f"option {key!r} must be an integer >= {low}")
+            check_int(f"option {key!r}", v, 0 if key == "seed" else 1)
         elif key == "tol":
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
                 raise ConfigError("option 'tol' must be a positive finite number")
@@ -260,8 +258,7 @@ def cmd_verify(params, state, opts, out_dir: Path, tol: float) -> int:
     else:
         strategy, steps = sched.strategy, _align_steps(steps, sched.strategy.cells)
         for delta in opts.get("delta_list", []):
-            fam = DeltaFamily(strategy, delta)
-            v_delta = expected_proceeds(params, state, fam.realize())
+            v_delta = expected_proceeds(params, state, realize_delta(strategy, delta))
             rows.append(("delta_family", v_delta, f"delta={delta!r}"))
             detail.setdefault("delta_family", []).append(
                 {"delta": delta, "value": v_delta})

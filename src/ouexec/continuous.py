@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import zero_vol
-from .errors import ConfigError, NumericalError, RegimeError
+from .errors import ConfigError, NumericalError, RegimeError, check_int
 from .model import MarketState, ModelParams, Regime, block_factor, classify, derive
 from .numerics import (FLOAT_TINY, LOG_FLOAT_MAX, adaptive_quad, lambert_w0, panel_nodes,
                        solve_multiplier)
@@ -75,17 +75,6 @@ def xi_star(params: ModelParams, lam: float, r):
     r = np.atleast_1d(np.asarray(r, dtype=float))
     g = np.exp(-np.exp(-2.0 * params.beta * r) * params.y)
     out = p_inverse(g * lam / params.alpha, params.alpha)
-    return float(out[0]) if scalar else out
-
-
-def eta_star(params: ModelParams, state: MarketState, lam: float, r):
-    """Cumulative amount sold by time r on the optimal path."""
-    d = derive(params, state)
-    scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    a = params.alpha
-    out = (xi_star(params, lam, r)
-           - (1.0 + np.exp(-2.0 * params.beta * r)) * d.y / a + d.z / a)
     return float(out[0]) if scalar else out
 
 
@@ -157,7 +146,7 @@ def h_eval(params: ModelParams, state: MarketState, lam: float,
     the discretization solve_lambda_star finds the root of; `panels` is that
     pin, _panels(params), for a caller that already holds it.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ConfigError("the multiplier is nonnegative")
     log_e = _log_e_with_slope(params, state, lam, panels or _panels(params))[0]
     if not log_e <= LOG_FLOAT_MAX:
@@ -311,6 +300,7 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
               extended: bool = False,
               panels: int | None = None) -> tuple[ContinuousSchedule, _Trajectory | None]:
     """schedule() and the solved multiplier's trajectory; panels is the xi* pin, if held."""
+    check_int("grid_points", grid_points, 1)
     d = derive(params, state)
     a, b, t = params.alpha, params.beta, params.horizon
     phi, s = state.holdings, state.price

@@ -25,12 +25,11 @@ psi_0 -> p*, n psi_k -> zeta*_{k/n}, psi_{m-1} -> q*.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_int
 from .model import MarketState, ModelParams, derive
 from .numerics import FLOAT_TINY, LOG_FLOAT_MAX, lambert_w0_exp, solve_multiplier
 
@@ -183,7 +182,7 @@ def fnk_inverse(params: ModelParams, n: int, k, q):
     """
     scalar = np.ndim(k) == 0 and np.ndim(q) == 0
     k, q = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(np.asarray(q, dtype=float)))
-    if np.any(q < -1e-15):
+    if not np.all(q >= -1e-15):
         raise ConfigError("F^n_k only takes nonnegative values on its domain")
     q = np.maximum(q, 0.0)
     a, c, u, x0 = _response(params, n, k)
@@ -224,7 +223,7 @@ def _inv_log_slope(a: float, c: float, u: float, s):
 
 def hn_eval(params: ModelParams, state: MarketState, lam: float, n: int) -> float:
     """Discrete multiplier mismatch E_n(lam) - lam; strictly decreasing, positive at 0."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ConfigError("the multiplier is nonnegative")
     log_e = _log_e_with_slope(params, state, lam, n)[0]
     if not log_e <= LOG_FLOAT_MAX:
@@ -264,15 +263,14 @@ def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
     return lam
 
 
-def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float,
-                check_tol: float = 1e-8, check: bool = True) -> np.ndarray:
+def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float) -> np.ndarray:
     """Allocation implied by the multiplier; verifies stationarity.
 
     The per-period first-order conditions give the post-sale impact levels
     S_k through the response inverses; differencing them yields the sales.
     The last period takes whatever the budget leaves so the allocation
-    sums to phi exactly. Gradient k must be within check_tol max(1, lam) of
-    lam plus the rounding floor of its terms, which is e^y sized at large y.
+    sums to phi exactly. Gradient k must be within 1e-8 max(1, lam) of lam
+    plus the rounding floor of its terms, which is e^y sized at large y.
     """
     m, c = periods(params, n)
     d = derive(params, state)
@@ -293,12 +291,11 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float,
             np.minimum(-c ** (2 * ks) * params.y - a * finv, 700.0))
         terms = 4.0 * np.finfo(float).eps * np.abs(finv) * slope
         floor = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
-    if check:
-        resid = np.abs(gradient(params, state, psi, n) - lam)
-        if not np.all(resid <= check_tol * max(1.0, abs(lam)) + floor):
-            raise NumericalError(
-                f"stationarity residual {np.max(resid):.3e} above {check_tol:.1e} plus its "
-                "rounding floor; the recovered allocation is not a critical point")
+    resid = np.abs(gradient(params, state, psi, n) - lam)
+    if not np.all(resid <= 1e-8 * max(1.0, abs(lam)) + floor):
+        raise NumericalError(
+            f"stationarity residual {np.max(resid):.3e} above 1.0e-08 plus its "
+            "rounding floor; the recovered allocation is not a critical point")
     return psi
 
 
@@ -363,9 +360,8 @@ def brute_force(params: ModelParams, state: MarketState, n: int,
     point. Then it runs pairwise-transfer coordinate descent with a
     halving step, for at most `sweeps` sweeps. Only feasible for m <= 4.
     """
-    for name, knob, low in (("resolution", resolution, 1), ("sweeps", sweeps, 0)):
-        if isinstance(knob, bool) or not isinstance(knob, numbers.Integral) or knob < low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {knob!r}")
+    check_int("resolution", resolution, 1)
+    check_int("sweeps", sweeps, 0)
     m, c = periods(params, n)
     if m > 4:
         raise ConfigError("exhaustive search is limited to four periods")

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 1, RegimeError -> 2,
 NumericalError -> 3.
 """
 
+import numbers
+
 
 class ConfigError(ValueError):
     """Invalid parameters, state, strategy, or run configuration."""
@@ -23,3 +25,9 @@ class StandingAssumptionWarning(UserWarning):
     Results are still computed in extended mode but carry no optimality
     claim among nonnegative strategies.
     """
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise ConfigError unless value is an integer >= low; a bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")

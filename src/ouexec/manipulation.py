@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import continuous
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .model import MarketState, ModelParams, derive
 from .numerics import find_root
 from .proceeds import expected_proceeds
@@ -66,16 +66,6 @@ def l_root(beta: float = 1.0, horizon: float = 1.0, lo: float = 1e-6,
         return l_eval(z, beta, horizon), slope
 
     return find_root(ldl, lo, hi, f_lo, f_hi, xtol=1e-13)
-
-
-def extended_schedule(params: ModelParams, state: MarketState,
-                      grid_points: int = 1000):
-    """Schedule formulas evaluated without the large-holdings condition.
-
-    Components may be negative (purchases); no optimality among
-    nonnegative strategies is claimed.
-    """
-    return continuous.schedule(params, state, grid_points=grid_points, extended=True)
 
 
 @dataclass(frozen=True)
@@ -121,8 +111,7 @@ def _scan_grid(z_range: tuple[float, float], points: int) -> np.ndarray:
     lo, hi = float(z_range[0]), float(z_range[1])
     if not (hi > lo):
         raise ConfigError("z_range must satisfy lo < hi")
-    if points < 2:
-        raise ConfigError("scan needs at least two points")
+    check_int("points", points, 2)
     if lo > 0.0:
         return np.geomspace(lo, hi, points)
     # log-spaced offsets above lo so the grid still starts exactly at lo

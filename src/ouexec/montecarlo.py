@@ -18,13 +18,12 @@ of hardware.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .model import MarketState, ModelParams, block_factor, derive
 from .numerics import gl_nodes
 from .strategy import ExecutionStrategy
@@ -54,10 +53,9 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
     containing each step midpoint; aligned grids (cells dividing steps)
     incur no sampling error.
     """
-    if paths < 1 or steps < 1:
-        raise ConfigError("paths and steps must be positive")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    check_int("paths", paths, 1)
+    check_int("steps", steps, 1)
+    check_int("seed", seed, 0)
     if steps % strategy.cells != 0:
         raise ConfigError("steps must be a multiple of the strategy grid cells")
     start = time.perf_counter()

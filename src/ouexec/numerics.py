@@ -59,24 +59,23 @@ def fixed_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  rel_tol: float = 1e-11, abs_tol: float = 1e-14,
-                  order: int = 16, max_panels: int = 4096) -> tuple[float, int]:
-    """Refine a composite Gauss-Legendre rule until two estimates agree.
+                  rel_tol: float = 1e-11, abs_tol: float = 1e-14) -> tuple[float, int]:
+    """Refine a composite order-16 Gauss-Legendre rule until two estimates agree.
 
-    Doubles the panel count until |new - old| <= rel_tol*|new| + abs_tol;
-    returns the estimate and the panel count that gave it.
+    Doubles the panel count, up to 4096, until |new - old| <= rel_tol*|new|
+    + abs_tol; returns the estimate and the panel count that gave it.
     """
     if a == b:
         return 0.0, 1
     panels = 2
-    prev = fixed_quad(f, a, b, panels, order)
-    while panels < max_panels:
+    prev = fixed_quad(f, a, b, panels, 16)
+    while panels < 4096:
         panels *= 2
-        cur = fixed_quad(f, a, b, panels, order)
+        cur = fixed_quad(f, a, b, panels, 16)
         if abs(cur - prev) <= rel_tol * abs(cur) + abs_tol:
             return cur, panels
         prev = cur
-    raise NumericalError(f"quadrature did not settle within {max_panels} panels")
+    raise NumericalError("quadrature did not settle within 4096 panels")
 
 
 def lambert_w0(x):

@@ -35,6 +35,7 @@ from .model import MarketState, ModelParams, block_factor, derive
 from .numerics import gl_nodes
 
 _TOL = 1e-12
+_ORDER = 20  # Gauss-Legendre nodes per gradual segment
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def _check_admissible(state: MarketState, strategy: strat.ExecutionStrategy):
 
 
 def proceeds_breakdown(params: ModelParams, state: MarketState,
-                       strategy: strat.ExecutionStrategy, order: int = 20) -> ProceedsBreakdown:
+                       strategy: strat.ExecutionStrategy) -> ProceedsBreakdown:
     """Expected proceeds split into initial block / gradual / terminal block."""
     _check_admissible(state, strategy)
     alpha, beta, t = params.alpha, params.beta, strategy.horizon
@@ -139,7 +140,7 @@ def proceeds_breakdown(params: ModelParams, state: MarketState,
     for (r, p), s in zip(strategy.impulses, prices):
         parts[0 if r <= _TOL else (2 if r >= t - _TOL else 1)] += s * block_factor(p, alpha)
     live = rates != 0.0
-    nodes, weights = gl_nodes(order)
+    nodes, weights = gl_nodes(_ORDER)
     x = nodes + 1.0
     half = 0.5 * np.diff(events)[live]
     zeta = rates[live][:, None]
@@ -156,9 +157,9 @@ def proceeds_breakdown(params: ModelParams, state: MarketState,
 
 
 def expected_proceeds(params: ModelParams, state: MarketState,
-                      strategy: strat.ExecutionStrategy, order: int = 20) -> float:
+                      strategy: strat.ExecutionStrategy) -> float:
     """Expected terminal cash: starting cash plus expected proceeds."""
-    return state.cash + proceeds_breakdown(params, state, strategy, order=order).total
+    return state.cash + proceeds_breakdown(params, state, strategy).total
 
 
 def expected_price_path(params: ModelParams, state: MarketState,

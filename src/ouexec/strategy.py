@@ -5,14 +5,14 @@ selling rate that is constant on each cell of a uniform grid over [0, t].
 Blocks are first-class: the proceeds evaluator prices a block of size p
 analytically through the factor (1 - exp(-alpha*p))/alpha, which is the
 limit value of selling p/delta per unit time over a vanishing window.
-DeltaFamily builds those finite-delta approximations explicitly so tests
-can confirm the convergence.
+realize_delta builds those finite-delta approximations explicitly so
+tests and `ouexec verify` can confirm the convergence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,8 @@ _TIME_TOL = 1e-12
 class ExecutionStrategy:
     """Impulses (sorted by time) and a per-cell selling rate on [0, horizon].
 
-    In standard mode every impulse size and density value must be >= 0.
+    Every impulse time, impulse size and density value must be finite. In
+    standard mode every impulse size and density value must be >= 0.
     extended_mode lifts that restriction (sales may be negative, meaning
     purchases) but totals are still capped by the holdings bound when the
     strategy is evaluated against a state.
@@ -43,6 +44,9 @@ class ExecutionStrategy:
         if dens.ndim != 1 or dens.size < 1:
             raise ConfigError("density must be a nonempty 1-d array of cell rates")
         imps = tuple(sorted((float(r), float(p)) for r, p in self.impulses))
+        if not (all(math.isfinite(r) and math.isfinite(p) for r, p in imps)
+                and np.all(np.isfinite(dens))):
+            raise ConfigError("impulse times, impulse sizes and density values must be finite")
         for r, p in imps:
             if r < -_TIME_TOL or r > self.horizon + _TIME_TOL:
                 raise ConfigError(f"impulse time {r} outside [0, {self.horizon}]")
@@ -63,50 +67,42 @@ class ExecutionStrategy:
         return self.horizon / self.density.size
 
 
-@dataclass(frozen=True)
-class DeltaFamily:
-    """Finite-width realization of a strategy's blocks.
+def realize_delta(strategy: ExecutionStrategy, delta: float) -> ExecutionStrategy:
+    """The strategy with every block sold gradually over a window of width delta.
 
     Each impulse (r, p) becomes a density p/delta on [r, r + delta], or on
-    [r - delta, r] when r is the horizon. total_sold is the same for every
-    delta, which is what justifies treating the block value as a limit.
+    [r - delta, r] when r is the horizon, on the coarsest grid that refines
+    the strategy's grid and delta. total_sold is the same for every delta,
+    which is what justifies treating the block value as a limit.
     """
-
-    base: ExecutionStrategy
-    delta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.delta <= self.base.horizon):
-            raise ConfigError(f"delta must be in (0, horizon], got {self.delta}")
-
-    def realize(self) -> ExecutionStrategy:
-        """Build the finite-delta strategy on the coarsest grid that refines the base and delta."""
-        t = self.base.horizon
-        windows = t / self.delta
-        m = int(round(windows))
-        if abs(windows - m) > 1e-9 * max(1.0, windows):
-            raise ConfigError("delta must divide the horizon")
-        cells = math.lcm(self.base.cells, m)
-        w = t / cells
-        dens = np.repeat(self.base.density, cells // self.base.cells).astype(float)
-        span = self.delta / w
-        n_span = int(round(span))
-        if abs(span - n_span) > 1e-9 or n_span < 1:
-            raise ConfigError("delta must span a whole number of cells")
-        for r, p in self.base.impulses:
-            start = r - self.delta if r >= t - _TIME_TOL else r
-            idx = start / w
-            i0 = int(round(idx))
-            if abs(idx - i0) > 1e-9:
-                raise ConfigError(f"impulse at {r} does not sit on the refined grid")
-            dens[i0:i0 + n_span] += p / self.delta
-        return ExecutionStrategy(impulses=(), density=dens, horizon=t,
-                                 extended_mode=self.base.extended_mode)
+    t = strategy.horizon
+    if not (0.0 < delta <= t):
+        raise ConfigError(f"delta must be in (0, horizon], got {delta}")
+    windows = t / delta
+    m = int(round(windows))
+    if abs(windows - m) > 1e-9 * max(1.0, windows):
+        raise ConfigError("delta must divide the horizon")
+    cells = math.lcm(strategy.cells, m)
+    w = t / cells
+    dens = np.repeat(strategy.density, cells // strategy.cells).astype(float)
+    span = delta / w
+    n_span = int(round(span))
+    if abs(span - n_span) > 1e-9 or n_span < 1:
+        raise ConfigError("delta must span a whole number of cells")
+    for r, p in strategy.impulses:
+        start = r - delta if r >= t - _TIME_TOL else r
+        idx = start / w
+        i0 = int(round(idx))
+        if abs(idx - i0) > 1e-9:
+            raise ConfigError(f"impulse at {r} does not sit on the refined grid")
+        dens[i0:i0 + n_span] += p / delta
+    return ExecutionStrategy(impulses=(), density=dens, horizon=t,
+                             extended_mode=strategy.extended_mode)
 
 
 def initial_block(phi: float, horizon: float = 1.0, cells: int = 1000) -> ExecutionStrategy:
     """Sell everything in one block at time zero (empty strategy for phi = 0)."""
-    if phi < 0.0:
+    if not phi >= 0.0:
         raise ConfigError(f"block size must be >= 0, got {phi}")
     imps = ((0.0, float(phi)),) if phi > 0.0 else ()
     return ExecutionStrategy(impulses=imps, density=np.zeros(cells), horizon=horizon)

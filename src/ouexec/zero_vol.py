@@ -45,8 +45,8 @@ def c_eval(params: ModelParams, state: MarketState, p: float) -> float:
     return math.exp(a * (1.0 + bt) * p - a * state.holdings - bt * d.z) + a * p - d.z - 1.0
 
 
-def solve(params: ModelParams, state: MarketState, tol: float = 1e-12) -> ZeroVolSchedule:
-    """p*, zeta*, q* and the schedule value for the no-noise model."""
+def solve(params: ModelParams, state: MarketState) -> ZeroVolSchedule:
+    """p*, zeta*, q* and the schedule value for the no-noise model; |C(p*)| must be <= 1e-12."""
     d = derive(params, state)
     a, b, t = params.alpha, params.beta, params.horizon
     phi, s = state.holdings, state.price
@@ -62,15 +62,15 @@ def solve(params: ModelParams, state: MarketState, tol: float = 1e-12) -> ZeroVo
     # 1 - w/k in (0, 1) is added to z last, so rounding keeps alpha p* in [z, z + 1]
     p_star = (d.z + max(1.0 - w / k, 0.0)) / a
     c = lambda p: c_eval(params, state, p)
-    if not abs(c(p_star)) <= tol:
+    if not abs(c(p_star)) <= 1e-12:
         # p* is within a few ulps of the root, but for large beta t one ulp
-        # of p moves the computed C by about tol: take the nearby float at
+        # of p moves the computed C by about 1e-12: take the nearby float at
         # which the computed C is smallest
         near = [p_star + j * math.ulp(p_star) for j in range(-16, 17)]
         p_star = min((p for p in near if p >= d.z / a), key=lambda p: abs(c(p)))
     resid = abs(c(p_star))
-    if not resid <= tol:
-        raise NumericalError(f"block-size residual {resid:.3e} above {tol:.1e}")
+    if not resid <= 1e-12:
+        raise NumericalError(f"block-size residual {resid:.3e} above 1.0e-12")
 
     zeta = b * (p_star - d.z / a)
     q_star = phi - p_star - t * zeta

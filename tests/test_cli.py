@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ouexec import cli, continuous
+from ouexec import cli, continuous, discrete
 from ouexec.errors import NumericalError
 
 E = 2.718281828459045
@@ -73,6 +73,24 @@ def test_converge_outputs(tmp_path):
     assert (out / "convergence.svg").exists()
 
 
+def test_converge_writes_a_nan_row_for_a_failed_n(tmp_path, monkeypatch):
+    solve = discrete.solve_lambda_hat
+
+    def failing_at_5(params, state, n, tol=1e-10):
+        if n == 5:
+            raise NumericalError("synthetic failure")
+        return solve(params, state, n, tol=tol)
+
+    monkeypatch.setattr(discrete, "solve_lambda_hat", failing_at_5)
+    cfg = _write_config(tmp_path, "c.json", n_list=[1, 5, 25])
+    out = tmp_path / "out"
+    assert cli.main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert lines[2] == "5,nan,nan,nan,nan,nan"
+    assert "nan" not in lines[1] + lines[3]
+
+
 def test_simulate_flags_override_config(tmp_path):
     cfg = _write_config(tmp_path, "c.json", grid_points=100,
                         paths=50, steps=100, seed=3)
@@ -116,6 +134,19 @@ def test_verify_outputs(tmp_path):
     assert meta["delta_family"][0]["value"] < meta["continuous_value"]
     assert "z_score" in meta["monte_carlo"]
     _check_z_score(meta["monte_carlo"], meta["continuous_value"])
+
+
+def test_verify_brute_force_falls_back_to_four_periods(tmp_path):
+    # no n in n_list has n t <= 4, so the oracle runs at n = int(4 / t) = 8
+    cfg = _write_config(tmp_path, "c.json", t=0.5, grid_points=100, paths=50,
+                        steps=100, n_list=[100])
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "verify.csv").read_text().splitlines()
+    assert lines[3].startswith("brute_force,") and lines[3].endswith(",n=8")
+    meta = json.loads((out / "verify.json").read_text())
+    assert meta["brute_force"]["n"] == 8
+    assert len(meta["brute_force"]["allocation"]) == 4
 
 
 def test_verify_gap_simulates_the_period_allocation(tmp_path):
@@ -208,6 +239,18 @@ def test_unknown_key_rejected(tmp_path):
 def test_missing_config_is_config_error(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", "[1, 2]",
+    json.dumps({"alpha": 1.0, "beta": 1.0, "sigma": 0.2, "F": 0.0, "t": 1.0, "w": 0.0, "s": E}),
+], ids=["not_json", "not_an_object", "missing_phi"])
+def test_malformed_config_is_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    reason = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert reason["kind"] == "config"
 
 
 def test_gap_simulate_is_regime_error(tmp_path):

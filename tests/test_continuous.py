@@ -47,6 +47,27 @@ def test_p_inverse_roundtrip_near_flat_point():
     assert p_eval(x, alpha) == pytest.approx(q, abs=1e-11)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p, s: schedule(p, s, grid_points=-1),
+    lambda p, s: schedule(p, s, grid_points=2.5),
+    lambda p, s: schedule(p, s, grid_points=True),
+    lambda p, s: scan(p, MarketState(cash=0.0, holdings=0.0, price=s.price), (0.5, 3.0),
+                      points=4, grid_points=-1),
+    lambda p, s: scan(p, MarketState(cash=0.0, holdings=0.0, price=s.price), (0.5, 3.0),
+                      points=2.5),
+], ids=["schedule_grid_negative", "schedule_grid_float", "schedule_grid_bool",
+        "scan_grid_negative", "scan_points_float"])
+def test_integer_arguments_are_config_errors(ou_params, ref_state, call):
+    with pytest.raises(ConfigError):
+        call(ou_params, ref_state)
+
+
+def test_h_eval_rejects_nan_multiplier(ou_params, ref_state):
+    # a negative multiplier is a ConfigError; NaN raised NumericalError by accident
+    with pytest.raises(ConfigError):
+        h_eval(ou_params, ref_state, math.nan)
+
+
 def test_p_inverse_rejects_below_range():
     with pytest.raises(ConfigError):
         p_inverse(-math.exp(-2.0) - 1e-6, 1.0)

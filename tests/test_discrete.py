@@ -91,6 +91,14 @@ def test_fnk_decreasing_and_inverse_roundtrip(ou_params):
         assert back == pytest.approx(q, rel=1e-10, abs=1e-12)
 
 
+def test_nan_inputs_are_config_errors(ou_params, ref_state):
+    # a NaN value passed the nonnegativity checks: fnk_inverse returned fnk_zero, hn_eval nan
+    with pytest.raises(ConfigError):
+        fnk_inverse(ou_params, 10, 1, math.nan)
+    with pytest.raises(ConfigError):
+        hn_eval(ou_params, ref_state, math.nan, 10)
+
+
 @settings(max_examples=200)
 @given(log_alpha=st.floats(-2.0, 2.0), log_bn=st.floats(-5.0, 4.0),
        n=st.sampled_from([1, 2, 10, 100]), k=st.integers(0, 99), sigma=st.floats(0.0, 1.5),
@@ -127,7 +135,7 @@ def test_inversion_at_large_response_terms():
     state = MarketState(cash=0.0, holdings=1.0, price=math.exp(5.0))
     lam = solve_lambda_hat(params, state, 10)
     assert abs(hn_eval(params, state, lam, 10)) <= 1e-10 * lam
-    psi = recover_psi(params, state, 10, lam, check=True)
+    psi = recover_psi(params, state, 10, lam)
     assert float(np.sum(psi)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -211,9 +219,6 @@ def test_recover_psi_checks_stationarity(ou_params, ref_state):
     assert np.max(np.abs(g - lam)) <= 1e-8 * max(1.0, lam)
     with pytest.raises(NumericalError):
         recover_psi(ou_params, ref_state, n, 1.5 * lam)
-    # check=False returns the (non-stationary) allocation anyway
-    bad = recover_psi(ou_params, ref_state, n, 1.5 * lam, check=False)
-    assert bad.shape == psi.shape
 
 
 def test_recover_psi_check_allows_for_rounding_at_large_y():
@@ -225,7 +230,7 @@ def test_recover_psi_check_allows_for_rounding_at_large_y():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # n t = 8.42 leaves the tail idle
         lam = solve_lambda_hat(params, state, 10)
-        psi = recover_psi(params, state, 10, lam, check=True)
+        psi = recover_psi(params, state, 10, lam)
     assert np.all(np.isfinite(psi))
     assert float(np.sum(psi)) == pytest.approx(0.893, abs=1e-9)
 

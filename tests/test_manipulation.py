@@ -8,8 +8,7 @@ import reference_values as ref
 from ouexec import (ConfigError, MarketState, ModelParams, continuous, expected_proceeds,
                     manipulation)
 from ouexec.continuous import schedule, value_block_form
-from ouexec.manipulation import (extended_schedule, l_eval, l_root,
-                                 round_trip_profit_bound, scan)
+from ouexec.manipulation import l_eval, l_root, round_trip_profit_bound, scan
 
 
 def _params(sigma=0.2):
@@ -55,7 +54,7 @@ def test_round_trip_bound_requires_flat_book():
 
 
 def test_extended_schedule_signs_at_large_z():
-    sched = extended_schedule(_params(), _state(6.0), grid_points=400)
+    sched = schedule(_params(), _state(6.0), grid_points=400, extended=True)
     assert sched.extended
     assert sched.p_star > 0.0
     assert sched.q_star < 0.0  # terminal buy-back closes the round trip
@@ -65,7 +64,7 @@ def test_extended_schedule_signs_at_large_z():
 
 def test_extended_matches_standard_inside_large_holdings(ou_params, ref_state):
     std = schedule(ou_params, ref_state, grid_points=200)
-    ext = extended_schedule(ou_params, ref_state, grid_points=200)
+    ext = schedule(ou_params, ref_state, grid_points=200, extended=True)
     assert ext.lambda_star == pytest.approx(std.lambda_star, rel=1e-12)
     assert ext.p_star == pytest.approx(std.p_star, rel=1e-12)
     assert ext.q_star == pytest.approx(std.q_star, rel=1e-12)
@@ -81,7 +80,7 @@ def test_realized_strategy_attains_closed_form(z, phi, grid):
     state = _state(z, phi=phi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sched = extended_schedule(params, state, grid_points=grid)
+        sched = schedule(params, state, grid_points=grid, extended=True)
     got = expected_proceeds(params, state, sched.strategy)
     assert got >= sched.value - 1e-8
     assert got <= sched.value + 1e-8  # and never exceeds the optimum

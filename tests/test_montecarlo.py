@@ -70,6 +70,15 @@ def test_steps_must_align_with_cells(ou_params, ref_state):
         simulate(ou_params, ref_state, strat, paths=10, steps=100, seed=0)
 
 
+@pytest.mark.parametrize("knob", [{"paths": 2.5}, {"paths": True}, {"steps": 10.0},
+                                  {"paths": 0}, {"steps": 0}])
+def test_paths_and_steps_must_be_positive_integers(ou_params, ref_state, knob):
+    strat = ExecutionStrategy(impulses=(), density=np.full(10, 0.5), horizon=1.0)
+    kwargs = {"paths": 10, "steps": 100, "seed": 0, **knob}
+    with pytest.raises(ConfigError):
+        simulate(ou_params, ref_state, strat, **kwargs)
+
+
 @pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
 def test_seed_must_be_a_nonnegative_integer(ou_params, zv_params, ref_state, seed):
     strat = ExecutionStrategy(impulses=(), density=np.full(10, 0.5), horizon=1.0)

@@ -10,10 +10,8 @@ import reference_proceeds
 import reference_values as ref
 from ouexec import (ConfigError, MarketState, ModelParams, continuous, expected_proceeds,
                     proceeds_breakdown)
-from ouexec.manipulation import extended_schedule
 from ouexec.proceeds import expected_price_path, impact_decay_profile
-from ouexec.strategy import (DeltaFamily, ExecutionStrategy, assemble_optimal,
-                             initial_block)
+from ouexec.strategy import ExecutionStrategy, assemble_optimal, initial_block
 
 
 def _params(alpha=1.0, beta=1.0, sigma=0.2, F=0.0, t=1.0):
@@ -173,12 +171,12 @@ def test_impact_decay_profile_constant_rate_closed_form(beta, grid):
 
 
 def test_quadrature_order_insensitivity():
-    # doubling the rule order changes a smooth instance below 1e-9 rel
+    # the reference cell loop at twice the rule order moves a smooth instance below 1e-9 rel
     params = _params(sigma=0.25)
     state = MarketState(cash=0.0, holdings=3.0, price=2.0)
     strat = assemble_optimal(0.8, np.linspace(0.2, 0.9, 50), 0.7, 1.0)
-    v20 = expected_proceeds(params, state, strat, order=20)
-    v40 = expected_proceeds(params, state, strat, order=40)
+    v20 = expected_proceeds(params, state, strat)
+    v40 = state.cash + math.fsum(reference_proceeds.scan(params, state, strat, order=40)[0])
     assert abs(v40 - v20) <= 1e-9 * abs(v40)
 
 
@@ -270,7 +268,7 @@ def test_schedules_match_the_cell_loop(extended, grid):
     params = _params(sigma=0.3)
     if extended:  # a buy-back round trip from a flat book, as the manipulation scan prices
         state = MarketState(cash=0.0, holdings=0.0, price=math.exp(2.5))
-        strat = extended_schedule(params, state, grid_points=grid).strategy
+        strat = continuous.schedule(params, state, grid_points=grid, extended=True).strategy
     else:
         state = MarketState(cash=0.0, holdings=3.0, price=math.e)
         strat = continuous.schedule(params, state, grid_points=grid).strategy

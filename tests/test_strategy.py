@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import random_large_instance, random_small_instance
 from ouexec import ConfigError, MarketState, expected_proceeds
 from ouexec.discrete import discrete_value, recover_psi, solve_lambda_hat
-from ouexec.strategy import (DeltaFamily, ExecutionStrategy, assemble_optimal,
-                             initial_block, period_blocks, to_csv, total_sold)
+from ouexec.strategy import (ExecutionStrategy, assemble_optimal, initial_block,
+                             period_blocks, realize_delta, to_csv, total_sold)
 
 
 def test_impulses_sorted_and_frozen():
@@ -32,6 +33,18 @@ def test_negative_quantities_need_extended_mode():
 def test_impulse_times_must_lie_in_horizon():
     with pytest.raises(ConfigError):
         ExecutionStrategy(impulses=((1.5, 1.0),), density=np.zeros(4), horizon=1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ExecutionStrategy(impulses=((math.nan, 1.0),), density=np.zeros(4), horizon=1.0),
+    lambda: ExecutionStrategy(impulses=((0.0, math.nan),), density=np.zeros(4), horizon=1.0),
+    lambda: ExecutionStrategy(impulses=(), density=np.array([0.5, math.nan]), horizon=1.0),
+    lambda: initial_block(math.nan),
+], ids=["impulse_time", "impulse_size", "density", "initial_block"])
+def test_non_finite_quantities_rejected(build):
+    # each priced to nan without an error, or (initial_block) sold nothing
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_initial_block_and_total():
@@ -85,14 +98,14 @@ def test_period_blocks_priced_as_the_discrete_value(ou_params, zv_params, ref_st
 def test_delta_family_preserves_total():
     base = assemble_optimal(1.5, np.full(10, 0.6), 0.9, 1.0)
     for delta in (0.5, 0.1, 0.02):
-        realized = DeltaFamily(base, delta).realize()
+        realized = realize_delta(base, delta)
         assert realized.impulses == ()
         assert total_sold(realized) == pytest.approx(total_sold(base), rel=1e-12)
 
 
 def test_delta_family_terminal_block_smears_backwards():
     base = assemble_optimal(0.0, np.zeros(4), 1.0, 1.0)
-    realized = DeltaFamily(base, 0.25).realize()
+    realized = realize_delta(base, 0.25)
     # all mass in the last quarter
     assert realized.density[-1] == pytest.approx(4.0)
     assert np.all(realized.density[:-1] == 0.0)
@@ -101,9 +114,9 @@ def test_delta_family_terminal_block_smears_backwards():
 def test_delta_family_misaligned_delta_rejected():
     base = assemble_optimal(1.0, np.zeros(3), 0.0, 1.0)
     with pytest.raises(ConfigError):
-        DeltaFamily(base, 0.29).realize()
+        realize_delta(base, 0.29)
     with pytest.raises(ConfigError):
-        DeltaFamily(base, 1.5)
+        realize_delta(base, 1.5)
 
 
 def test_csv_shape_and_cumulative():
