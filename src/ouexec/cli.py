@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import continuous, discrete, manipulation, montecarlo, svg
-from .errors import ConfigError, NumericalError, RegimeError, check_int
+from .errors import ConfigError, NumericalError, RegimeError, check_int, check_positive
 from .model import MarketState, ModelParams, Regime, classify
 from .proceeds import expected_proceeds
 from .strategy import period_blocks, realize_delta, to_csv
@@ -69,8 +69,7 @@ def _load_config(path: str, overrides: dict):
         if key in ("grid_points", "paths", "steps", "seed"):
             check_int(f"option {key!r}", v, 0 if key == "seed" else 1)
         elif key == "tol":
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
-                raise ConfigError("option 'tol' must be a positive finite number")
+            check_positive("option 'tol'", v)
             v = float(v)
         elif key == "n_list":
             if (not isinstance(v, list) or not v

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import zero_vol
-from .errors import ConfigError, NumericalError, RegimeError, check_int
+from .errors import ConfigError, NumericalError, RegimeError, check_int, check_positive
 from .model import MarketState, ModelParams, Regime, block_factor, classify, derive
 from .numerics import (FLOAT_TINY, LOG_FLOAT_MAX, adaptive_quad, lambert_w0, panel_nodes,
                        solve_multiplier)
@@ -125,72 +126,118 @@ def _panels(params: ModelParams) -> int:
     return max(panels, 8)
 
 
-def _trajectory(params: ModelParams, lam: float, panels: int, times=()) -> _Trajectory:
-    """xi*_r at lam on the `panels` pinned panels and at the times; one inversion covers both."""
+def _trajectory(params: ModelParams, lam, panels: int, times=()) -> _Trajectory:
+    """xi*_r at lam on the `panels` pinned panels and at the times; one inversion covers both.
+
+    An array of multipliers gives xi* a row per multiplier and j a list,
+    an entry per row.
+    """
     a = params.alpha
     nodes, weights = panel_nodes(0.0, params.horizon, panels, 16)
     decay2 = np.exp(-2.0 * params.beta * np.concatenate([nodes, np.asarray(times, dtype=float)]))
-    xi = p_inverse(np.exp(-decay2 * params.y) * lam / a, a)
+    xi = p_inverse(np.exp(-decay2 * params.y) * np.asarray(lam, dtype=float)[..., None] / a, a)
     k = nodes.size
-    return _Trajectory(weights, decay2[:k], xi[:k], decay2[k:], xi[k:],
-                       float(np.dot(weights, xi[:k])))
+    return _Trajectory(weights, decay2[:k], xi[..., :k], decay2[k:], xi[..., k:],
+                       _dot_rows(weights, xi[..., :k]))
 
 
-def h_eval(params: ModelParams, state: MarketState, lam: float,
-           panels: int | None = None) -> float:
+def _dot_rows(weights: np.ndarray, rows: np.ndarray):
+    """np.dot(weights, row) for each row of a 2-D rows, as a list; a float for a 1-D rows.
+
+    Each row is its own 1-D dot, summed as for that row alone; a matrix
+    product may sum in another order.
+    """
+    if rows.ndim == 1:
+        return float(np.dot(weights, rows))
+    return [float(np.dot(weights, row)) for row in rows]
+
+
+def _as_list(state: MarketState | Sequence[MarketState]) -> tuple[list[MarketState], bool]:
+    """The states as a list, and whether a sequence of them was given rather than one."""
+    many = not isinstance(state, MarketState)
+    return (list(state) if many else [state]), many
+
+
+def h_eval(params: ModelParams, state: MarketState | Sequence[MarketState], lam,
+           panels: int | None = None) -> float | np.ndarray:
     """Constraint mismatch H(lam) = E(lam) - lam; the optimal multiplier is its root.
 
     E(lam) = alpha exp(alpha beta int_0^t xi*_r dr - alpha phi + z - y) is
     positive and decreasing, with E(0) = alpha exp(beta t - alpha phi + z - y),
     so H has slope <= -1. The xi integral runs on the model's pinned panels,
     the discretization solve_lambda_star finds the root of; `panels` is that
-    pin, _panels(params), for a caller that already holds it.
+    pin, _panels(params), for a caller that already holds it. A sequence of
+    states, each with its entry of the array lam, gives an array of H, each
+    entry the float that state gives alone.
     """
-    if not lam >= 0.0:
-        raise ConfigError("the multiplier is nonnegative")
-    log_e = _log_e_with_slope(params, state, lam, panels or _panels(params))[0]
-    if not log_e <= LOG_FLOAT_MAX:
-        raise NumericalError(f"H({lam:.6g}) is beyond the float range: log E = {log_e:.6g}")
-    return math.exp(log_e) - lam
+    states, many = _as_list(state)
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lams.shape != (len(states),):
+        raise ConfigError("give one multiplier per state")
+    if not np.all((lams >= 0.0) & (lams < math.inf)):
+        raise ConfigError("the multiplier is a nonnegative finite number")
+    log_e = _log_e_with_slope(params, states, lams, panels or _panels(params))[0]
+    for le, lm in zip(log_e, lams.tolist()):
+        if not le <= LOG_FLOAT_MAX:
+            raise NumericalError(f"H({lm:.6g}) is beyond the float range: log E = {le:.6g}")
+    h = np.array([math.exp(le) for le in log_e]) - lams
+    return h if many else float(h[0])
 
 
-def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
-                      panels: int) -> tuple[float, float]:
-    """log E(lam) on `panels` Gauss-Legendre panels of order 16, and d log E / d log lam.
+def _log_e_with_slope(params: ModelParams, states: list[MarketState], lam,
+                      panels: int) -> tuple[list[float], list[float]]:
+    """log E on `panels` Gauss-Legendre panels of order 16, and d log E / d log lam.
 
-    Both come from one inversion on the quadrature nodes: with
+    One entry per state, at its entry of the sequence lam. All come from one
+    inversion on the quadrature nodes, a row per state: with
     w = 1 - alpha xi = W0(e q), differentiating P(xi) = q = g lam / alpha
     gives lam d xi / d lam = P(xi) / P'(xi) = -w / (alpha (1 + w)).
     """
-    d = derive(params, state)
     a, b = params.alpha, params.beta
     tr = _trajectory(params, lam, panels)
     w = 1.0 - a * tr.node_xi
-    log_e = math.log(a) + a * b * tr.j - a * state.holdings + d.z - d.y
-    return log_e, -b * float(np.dot(tr.weights, w / (1.0 + w)))
+    log_e = []
+    for st, j in zip(states, tr.j):
+        d = derive(params, st)
+        log_e.append(math.log(a) + a * b * j - a * st.holdings + d.z - d.y)
+    return log_e, [-b * v for v in _dot_rows(tr.weights, w / (1.0 + w))]
 
 
-def solve_lambda_star(params: ModelParams, state: MarketState, tol: float = 1e-10,
-                      extended: bool = False, panels: int | None = None) -> float:
-    """Root of H.
+def solve_lambda_star(params: ModelParams, state: MarketState | Sequence[MarketState],
+                      tol: float = 1e-10, extended: bool = False,
+                      panels: int | None = None) -> float | np.ndarray:
+    """Root of H; for a sequence of states, the array of their roots.
 
     Standard mode requires phi > max(z, 1 + beta)/alpha; extended mode
     accepts any phi (including zero, for round-trip analysis). Every
     iterate sees one discretization, the model's pinned xi quadrature
     (`panels`, as in h_eval); the root must leave |H| <= tol lambda
     (relative down to the smallest normal float) on the same panels.
+    A sequence of states is solved together, one inversion per Newton
+    round for the states still open, and each root has the bits the
+    state's own solve gives.
     """
+    check_positive("tol", tol)
+    states, many = _as_list(state)
     if not extended:
-        regime = classify(params, state)
-        if regime is not Regime.LARGE_HOLDINGS:
-            raise RegimeError(
-                f"closed form requires phi > max(z, 1+beta)/alpha; regime is {regime.value}")
+        for st in states:
+            regime = classify(params, st)
+            if regime is not Regime.LARGE_HOLDINGS:
+                raise RegimeError(
+                    f"closed form requires phi > max(z, 1+beta)/alpha; regime is {regime.value}")
     panels = panels or _panels(params)
-    lam = solve_multiplier(lambda lam: _log_e_with_slope(params, state, lam, panels))
-    resid = abs(h_eval(params, state, lam, panels))
-    if not resid <= tol * max(lam, FLOAT_TINY):
-        raise NumericalError(f"multiplier residual {resid:.3e} above tolerance {tol:.1e}")
-    return lam
+
+    def log_e(lam, live=None):
+        if live is None:  # log E(0) of every state
+            return _log_e_with_slope(params, states, np.full(len(states), lam), panels)
+        return _log_e_with_slope(params, [states[i] for i in live], lam, panels)
+
+    lam = np.atleast_1d(solve_multiplier(log_e))
+    resid = np.abs(h_eval(params, states, lam, panels))
+    for r, lm in zip(resid.tolist(), lam.tolist()):
+        if not r <= tol * max(lm, FLOAT_TINY):
+            raise NumericalError(f"multiplier residual {r:.3e} above tolerance {tol:.1e}")
+    return lam if many else float(lam[0])
 
 
 @dataclass(frozen=True)
@@ -226,6 +273,7 @@ def value(params: ModelParams, state: MarketState, tol: float = 1e-10) -> float:
     falls back to the n = 2000 discrete solver (a numeric approximation,
     not a formula); schedule() is the API that refuses the gap outright.
     """
+    check_positive("tol", tol)
     d = derive(params, state)
     if d.z > 2.0 * d.y and classify(params, state) is Regime.GAP:
         from . import discrete
@@ -293,13 +341,18 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
     unless extended=True, which evaluates the same formulas without
     optimality guarantees.
     """
+    check_positive("tol", tol)
     return _schedule(params, state, grid_points, tol, extended)[0]
 
 
 def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: float = 1e-10,
-              extended: bool = False,
-              panels: int | None = None) -> tuple[ContinuousSchedule, _Trajectory | None]:
-    """schedule() and the solved multiplier's trajectory; panels is the xi* pin, if held."""
+              extended: bool = False, panels: int | None = None,
+              lam: float | None = None) -> tuple[ContinuousSchedule, _Trajectory | None]:
+    """schedule() and the solved multiplier's trajectory.
+
+    panels is the xi* pin and lam the multiplier solve_lambda_star gives
+    for this state on it, if the caller holds them.
+    """
     check_int("grid_points", grid_points, 1)
     d = derive(params, state)
     a, b, t = params.alpha, params.beta, params.horizon
@@ -341,7 +394,8 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
             "no closed form applies (use the discrete approximation)")
     else:
         panels = panels or _panels(params)
-        lam = solve_lambda_star(params, state, tol=tol, extended=extended, panels=panels)
+        if lam is None:
+            lam = solve_lambda_star(params, state, tol=tol, extended=extended, panels=panels)
         # the grid, then the cell midpoints at which the strategy samples the rate
         tr = _trajectory(params, lam, panels, np.append(times, 0.5 * (times[:-1] + times[1:])))
         n = times.size

@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, check_int
+from .errors import ConfigError, NumericalError, check_int, check_positive
 from .model import MarketState, ModelParams, derive
 from .numerics import FLOAT_TINY, LOG_FLOAT_MAX, lambert_w0_exp, solve_multiplier
 
@@ -182,8 +182,8 @@ def fnk_inverse(params: ModelParams, n: int, k, q):
     """
     scalar = np.ndim(k) == 0 and np.ndim(q) == 0
     k, q = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(np.asarray(q, dtype=float)))
-    if not np.all(q >= -1e-15):
-        raise ConfigError("F^n_k only takes nonnegative values on its domain")
+    if not np.all((q >= -1e-15) & (q < math.inf)):
+        raise ConfigError("F^n_k only takes nonnegative finite values on its domain")
     q = np.maximum(q, 0.0)
     a, c, u, x0 = _response(params, n, k)
     log_q = np.log(q, out=np.full(q.shape, -np.inf), where=q > 0.0)
@@ -223,8 +223,8 @@ def _inv_log_slope(a: float, c: float, u: float, s):
 
 def hn_eval(params: ModelParams, state: MarketState, lam: float, n: int) -> float:
     """Discrete multiplier mismatch E_n(lam) - lam; strictly decreasing, positive at 0."""
-    if not lam >= 0.0:
-        raise ConfigError("the multiplier is nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise ConfigError("the multiplier is a nonnegative finite number")
     log_e = _log_e_with_slope(params, state, lam, n)[0]
     if not log_e <= LOG_FLOAT_MAX:
         raise NumericalError(f"hn({lam:.6g}) is beyond the float range: log E_n = {log_e:.6g}")
@@ -256,6 +256,7 @@ def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
     float). With one period E_n does not depend on lambda and the root is
     E_n(0).
     """
+    check_positive("tol", tol)
     lam = solve_multiplier(lambda lam: _log_e_with_slope(params, state, lam, n))
     resid = abs(hn_eval(params, state, lam, n))
     if not resid <= tol * max(lam, FLOAT_TINY):

@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: ConfigError -> 1, RegimeError -> 2,
 NumericalError -> 3.
 """
 
+import math
 import numbers
 
 
@@ -31,3 +32,9 @@ def check_int(name: str, value, low: int) -> None:
     """Raise ConfigError unless value is an integer >= low; a bool is not an integer here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ConfigError unless value is a positive finite real number; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be a positive finite number, got {value!r}")

@@ -29,7 +29,7 @@ import numpy as np
 from . import continuous
 from .errors import ConfigError, check_int
 from .model import MarketState, ModelParams, derive
-from .numerics import find_root
+from .numerics import LOG_FLOAT_MAX, find_root
 from .proceeds import expected_proceeds
 
 
@@ -107,40 +107,50 @@ class ManipulationReport:
     first_profitable_z: float | None
 
 
-def _scan_grid(z_range: tuple[float, float], points: int) -> np.ndarray:
+def _scan_grid(params: ModelParams, z_range: tuple[float, float], points: int) -> np.ndarray:
+    """The scan's z points; each must leave the price e^{F+z} inside the float range."""
     lo, hi = float(z_range[0]), float(z_range[1])
     if not (hi > lo):
         raise ConfigError("z_range must satisfy lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"z_range must be finite, got [{lo}, {hi}]")
     check_int("points", points, 2)
     if lo > 0.0:
-        return np.geomspace(lo, hi, points)
-    # log-spaced offsets above lo so the grid still starts exactly at lo
-    u = np.linspace(0.0, 1.0, points)
-    return lo + (hi - lo) * (np.power(10.0, u) - 1.0) / 9.0
+        zs = np.geomspace(lo, hi, points)
+    else:
+        # log-spaced offsets above lo so the grid still starts exactly at lo
+        u = np.linspace(0.0, 1.0, points)
+        zs = lo + (hi - lo) * (np.power(10.0, u) - 1.0) / 9.0
+    if not params.fundamental_log + zs[-1] <= LOG_FLOAT_MAX:
+        raise ConfigError(f"the price e^(F + z) at z = {zs[-1]:.6g} is beyond the float range")
+    return zs
 
 
 def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
          points: int = 200, grid_points: int = 400) -> ManipulationReport:
     """Sweep the price-fundamental gap z and certify round-trip profits.
 
-    For each z the market price is reset to e^{F+z} with zero holdings,
-    the extended schedule is solved, and the profit is both bounded
-    analytically at the schedule's multiplier and verified exactly by the
-    proceeds evaluator on the assembled strategy. first_profitable_z
+    For each z the market price is reset to e^{F+z} with zero holdings.
+    One solve_lambda_star call finds the extended multipliers of every z
+    together; then each z's extended schedule is built at its multiplier,
+    and the profit is both bounded analytically there and verified exactly
+    by the proceeds evaluator on the assembled strategy. first_profitable_z
     reports the smallest scanned z certified both ways: analytic bound > 0
     and verified profit > 0.
     """
     if abs(state.holdings) > 1e-12:
         raise ConfigError("scan operates on round trips; set phi = 0")
-    zs = _scan_grid(z_range, points)
+    zs = _scan_grid(params, z_range, points)
     l_vals = np.asarray(l_eval(zs, params.beta, params.horizon))
     bounds = np.empty(points)
     profits = np.empty(points)
+    states = [MarketState(cash=state.cash, holdings=0.0, price=math.exp(params.fundamental_log + z))
+              for z in zs]
     panels = continuous._panels(params)  # xi* reads the model alone: one pin for every z
-    for i, z in enumerate(zs):
-        price = math.exp(params.fundamental_log + z)
-        st = MarketState(cash=state.cash, holdings=0.0, price=price)
-        sched, tr = continuous._schedule(params, st, grid_points, extended=True, panels=panels)
+    lams = continuous.solve_lambda_star(params, states, extended=True, panels=panels)
+    for i, (st, lam) in enumerate(zip(states, lams.tolist())):
+        sched, tr = continuous._schedule(params, st, grid_points, extended=True, panels=panels,
+                                         lam=lam)
         bounds[i] = _bound_at(params, st, sched.lambda_star, tr).bound
         profits[i] = expected_proceeds(params, st, sched.strategy) - state.cash
 

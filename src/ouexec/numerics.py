@@ -10,7 +10,11 @@ whenever a step would leave the shrinking sign-change bracket.
 Both multiplier equations read lambda = E(lambda) with E positive and
 decreasing, so the root lies in [E(E(0)), E(0)]; solve_multiplier runs
 find_root on that bracket in log lambda, where the equation is nearly
-linear even when E(0) is e^80 and the root e^30.
+linear even when E(0) is e^80 and the root e^30. Both also take several
+brackets or equations at once (a manipulation scan's z points): each
+steps and stops on its own Python-float arithmetic, while one fdf call
+per round evaluates all that are still open, so a batch returns the
+bits of one call per bracket.
 """
 
 from __future__ import annotations
@@ -84,7 +88,10 @@ def lambert_w0(x):
     Halley iterations (Corless et al., Adv. Comput. Math. 5, 1996) on
     w - x e^{-w}, the usual residual w e^w - x scaled by e^{-w} so nothing
     overflows, started from the branch-point series near -1/e, from
-    log(1 + x) in the middle and from log x - log log x above e.
+    log(1 + x) in the middle and from log x - log log x above e. Each row
+    along the last axis (a 0-D or 1-D x is one row) iterates until all of
+    its steps are at rounding level and is then left as it is, so a row
+    comes out with the bits it has when passed alone.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < -math.exp(-1.0) - 1e-15):
@@ -99,14 +106,22 @@ def lambert_w0(x):
     l1 = np.log(x[far])
     l2 = np.log(l1)
     w[far] = l1 - l2 + l2 / l1
+    rows_x = x.reshape(math.prod(x.shape[:-1]), x.shape[-1] if x.ndim else 1)
+    rows_w = w.reshape(rows_x.shape)  # a view: updating a row updates w
+    live = slice(None)  # every row, until one settles
     for _ in range(12):
-        f = w - x * np.exp(-w)
-        wp1 = w + 1.0
-        den = 2.0 * wp1 * wp1 - (w + 2.0) * f
-        step = np.divide(2.0 * wp1 * f, den, out=np.zeros_like(w), where=den != 0.0)
-        w = np.maximum(w - step, -1.0)
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(w))):
+        wl, xl = rows_w[live], rows_x[live]
+        f = wl - xl * np.exp(-wl)
+        wp1 = wl + 1.0
+        den = 2.0 * wp1 * wp1 - (wl + 2.0) * f
+        step = np.divide(2.0 * wp1 * f, den, out=np.zeros_like(wl), where=den != 0.0)
+        wl = np.maximum(wl - step, -1.0)
+        rows_w[live] = wl
+        settled = np.abs(step) <= 1e-15 * (1.0 + np.abs(wl))
+        if settled.all():
             break
+        if len(wl) > 1:  # drop the rows whose steps have all settled
+            live = np.arange(len(rows_w))[live][~settled.all(axis=1)]
     return float(w) if w.ndim == 0 else w
 
 
@@ -128,11 +143,15 @@ def lambert_w0_exp(log_x):
     return float(w) if w.ndim == 0 else w
 
 
-def find_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: float,
-              f_lo: float, f_hi: float, xtol: float) -> float:
-    """Root of f on a bracket [lo, hi] over which f changes sign.
+def find_root(fdf: Callable, lo, hi, f_lo, f_hi, xtol: float):
+    """Root of f on a bracket [lo, hi] over which f changes sign, or roots on several brackets.
 
-    fdf(x) returns f(x) and f'(x); f_lo and f_hi are f at the endpoints.
+    One bracket takes floats: fdf(x) returns f(x) and f'(x), and f_lo and
+    f_hi are f at the endpoints. Several take equal-length sequences:
+    fdf(x, live) gets lists of the current points x of the brackets not
+    yet settled and of their numbers `live`, and returns sequences of f
+    and f' there; the roots come back as an array. Each bracket runs the
+    same float arithmetic, and stops, as it would alone.
     The first point is the secant point of the bracket. Each evaluated
     point replaces the endpoint with the same sign, and the next point is
     the Newton step from it, or the bracket midpoint when that step would
@@ -143,55 +162,87 @@ def find_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: float,
     down to the noise floor of f; a Newton step that small is taken even
     when it rounds onto a bracket end, as bisecting would throw it away.
     """
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise NumericalError(f"no sign change on [{lo}, {hi}]")
-    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    last = hi - lo
+    many = np.ndim(lo) > 0
+    lo, hi, f_lo, f_hi = ([float(u) for u in v] if many else [float(v)]
+                          for v in (lo, hi, f_lo, f_hi))
+    roots = [None] * len(lo)
+    x = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    last = [b - a for a, b in zip(lo, hi)]
+    for i, (a, b, fa, fb) in enumerate(zip(lo, hi, f_lo, f_hi)):
+        if fa == 0.0:
+            roots[i] = a
+        elif fb == 0.0:
+            roots[i] = b
+        elif np.sign(fa) == np.sign(fb):
+            raise NumericalError(f"no sign change on [{a}, {b}]")
+        elif a < (secant := a - fa * (b - a) / (fb - fa)) < b:
+            x[i] = secant
     for _ in range(100):
-        f, df = fdf(x)
-        if f == 0.0:
-            return x
-        if np.sign(f) == np.sign(f_lo):
-            lo = x
+        live = [i for i, r in enumerate(roots) if r is None]
+        if not live:
+            break
+        if many:
+            f, df = ([float(u) for u in v] for v in fdf([x[i] for i in live], live))
         else:
-            hi = x
-        new = x - f / df if df != 0.0 else math.nan
-        step_tol = xtol * max(1.0, abs(x))
-        if abs(new - x) <= step_tol:
-            return new
-        if not (lo < new < hi and abs(new - x) <= 0.5 * last):
-            new = 0.5 * (lo + hi)
-        last = abs(new - x)
-        x = new
-        if last <= step_tol:
-            return x
-    raise NumericalError(f"no root to within {xtol:.1e} after 100 iterations")
+            f, df = ([v] for v in fdf(x[0]))
+        for i, fi, dfi in zip(live, f, df):
+            if fi == 0.0:
+                roots[i] = x[i]
+                continue
+            if np.sign(fi) == np.sign(f_lo[i]):
+                lo[i] = x[i]
+            else:
+                hi[i] = x[i]
+            new = x[i] - fi / dfi if dfi != 0.0 else math.nan
+            step_tol = xtol * max(1.0, abs(x[i]))
+            if abs(new - x[i]) <= step_tol:
+                roots[i] = new
+                continue
+            if not (lo[i] < new < hi[i] and abs(new - x[i]) <= 0.5 * last[i]):
+                new = 0.5 * (lo[i] + hi[i])
+            last[i] = abs(new - x[i])
+            x[i] = new
+            if last[i] <= step_tol:
+                roots[i] = new
+    if None in roots:
+        raise NumericalError(f"no root to within {xtol:.1e} after 100 iterations")
+    return np.array(roots) if many else roots[0]
 
 
-def solve_multiplier(log_e: Callable[[float], tuple[float, float]]) -> float:
-    """Root of lambda = E(lambda) for a positive, decreasing E.
+def solve_multiplier(log_e: Callable):
+    """Root of lambda = E(lambda) for a positive, decreasing E, or roots of several such equations.
 
-    log_e(lam) returns log E(lam) and d log E / d log lam (<= 0). In
-    u = log lam, find_root runs on G(u) = log E(e^u) - u, whose slope is
-    <= -1, over [lo, hi] = [log E(E(0)), log E(0)]: hi is log E(0), and
-    lo = hi + G(hi) comes with the evaluation at hi.
+    log_e(lam) returns log E(lam) and d log E / d log lam (<= 0). For
+    several equations, log_e(0.0) returns sequences with one entry per
+    equation, log_e(lam, live) takes a list lam for the equations whose
+    numbers are the list live, and the roots come back as an array; each
+    is the root the equation has alone. In u = log lam, find_root runs on
+    G(u) = log E(e^u) - u, whose slope is <= -1, over [lo, hi] =
+    [log E(E(0)), log E(0)]: hi is log E(0), and lo = hi + G(hi) comes
+    with the evaluation at hi.
     """
     hi = log_e(0.0)[0]
-    if not hi < 700.0:
-        raise NumericalError(f"multiplier bound E(0) = e^{hi:.6g} is too large for float")
+    many = np.ndim(hi) > 0
+    hi = np.atleast_1d(hi).tolist()
+    for h in hi:
+        if not h < 700.0:
+            raise NumericalError(f"multiplier bound E(0) = e^{h:.6g} is too large for float")
+    if not many:
+        one = log_e
 
-    def g(u):
-        log_e_u, slope = log_e(math.exp(u))
-        return log_e_u - u, slope - 1.0
+        def log_e(lam, live):
+            return ([v] for v in one(lam[0]))
 
+    def g(u, live):
+        # math.exp, not numpy's exp, which differs from it in the last bit on some arguments
+        log_e_u, slope = log_e([math.exp(v) for v in u], live)
+        return [le - v for le, v in zip(log_e_u, u)], [sl - 1.0 for sl in slope]
+
+    every = list(range(len(hi)))
     # G(hi) <= 0 <= G(lo) hold exactly; the clamps drop rounding-level misses
-    g_hi = min(g(hi)[0], 0.0)
+    g_hi = [min(v, 0.0) for v in g(hi, every)[0]]
     # e^u is 0.0 below u = -746, so no point there says more than u = -746
-    lo = max(hi + g_hi, min(hi, -746.0))
-    return math.exp(find_root(g, lo, hi, max(g(lo)[0], 0.0), g_hi, xtol=1e-15))
+    lo = [max(h + gh, min(h, -746.0)) for h, gh in zip(hi, g_hi)]
+    g_lo = [max(v, 0.0) for v in g(lo, every)[0]]
+    roots = [math.exp(u) for u in find_root(g, lo, hi, g_lo, g_hi, xtol=1e-15)]
+    return np.array(roots) if many else roots[0]

@@ -11,7 +11,7 @@ from scipy.special import lambertw
 import reference_values as ref
 from conftest import E, random_large_instance, random_small_instance
 from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, Regime,
-                    RegimeError, classify, expected_proceeds)
+                    RegimeError, StandingAssumptionWarning, classify, expected_proceeds)
 from ouexec import continuous, numerics
 from ouexec import zero_vol
 from ouexec.continuous import (h_eval, p_eval, p_inverse, schedule,
@@ -66,6 +66,46 @@ def test_h_eval_rejects_nan_multiplier(ou_params, ref_state):
     # a negative multiplier is a ConfigError; NaN raised NumericalError by accident
     with pytest.raises(ConfigError):
         h_eval(ou_params, ref_state, math.nan)
+
+
+def test_h_eval_rejects_infinite_multiplier(ou_params, ref_state):
+    # +inf reached inf - inf inside W0 before any typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            h_eval(ou_params, ref_state, math.inf)
+        with pytest.raises(ConfigError):
+            h_eval(ou_params, [ref_state, ref_state], [1.0, math.inf])
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda p, s, tol: solve_lambda_star(p, s, tol=tol),
+    lambda p, s, tol: schedule(p, s, grid_points=10, tol=tol),
+    lambda p, s, tol: value(p, s, tol=tol),
+    lambda p, s, tol: schedule(p, MarketState(cash=0.0, holdings=0.5, price=E), tol=tol),
+    lambda p, s, tol: value(p, MarketState(cash=0.0, holdings=1.5, price=E), tol=tol),
+], ids=["solve_lambda_star", "schedule", "value", "schedule_small_holdings", "value_gap"])
+def test_bad_tolerance_is_config_error(ou_params, ref_state, call, tol):
+    # a NaN or negative tol reached the residual check and came out as a NumericalError;
+    # where no closed-form solve runs it went unchecked
+    with pytest.raises(ConfigError, match="tol"):
+        call(ou_params, ref_state, tol)
+
+
+def test_solve_lambda_star_over_states_matches_one_solve_per_state(ou_params):
+    # the batched solve returns each state's own root, bit for bit, and h_eval follows
+    states = [MarketState(cash=0.0, holdings=phi, price=math.exp(z))
+              for phi, z in [(0.0, 0.5), (3.0, 1.0), (0.0, 6.0), (10.0, 2.0), (0.5, 0.01)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StandingAssumptionWarning)
+        lams = solve_lambda_star(ou_params, states, extended=True)
+        alone = [solve_lambda_star(ou_params, s, extended=True) for s in states]
+        assert lams.tolist() == alone
+        assert h_eval(ou_params, states, lams).tolist() == [
+            h_eval(ou_params, s, lam) for s, lam in zip(states, alone)]
+        with pytest.raises(RegimeError):
+            solve_lambda_star(ou_params, states)  # standard mode checks every state
 
 
 def test_p_inverse_rejects_below_range():

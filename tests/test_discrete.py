@@ -91,6 +91,23 @@ def test_fnk_decreasing_and_inverse_roundtrip(ou_params):
         assert back == pytest.approx(q, rel=1e-10, abs=1e-12)
 
 
+def test_infinite_inputs_are_config_errors(ou_params, ref_state):
+    # +inf reached inf - inf inside W0 before any typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            fnk_inverse(ou_params, 10, 1, math.inf)
+        with pytest.raises(ConfigError):
+            hn_eval(ou_params, ref_state, math.inf, 10)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_bad_tolerance_is_config_error(ou_params, ref_state, tol):
+    # a NaN or negative tol reached the residual check and came out as a NumericalError
+    with pytest.raises(ConfigError, match="tol"):
+        solve_lambda_hat(ou_params, ref_state, 10, tol=tol)
+
+
 def test_nan_inputs_are_config_errors(ou_params, ref_state):
     # a NaN value passed the nonnegativity checks: fnk_inverse returned fnk_zero, hn_eval nan
     with pytest.raises(ConfigError):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import reference_values as ref
-from ouexec import (ConfigError, MarketState, ModelParams, continuous, expected_proceeds,
-                    manipulation)
+from ouexec import (ConfigError, MarketState, ModelParams, StandingAssumptionWarning,
+                    continuous, expected_proceeds, manipulation)
 from ouexec.continuous import schedule, value_block_form
 from ouexec.manipulation import l_eval, l_root, round_trip_profit_bound, scan
 
@@ -120,55 +120,73 @@ def test_scan_low_window_profitable_under_volatility():
     assert rep.first_profitable_z == pytest.approx(0.1)
 
 
-def test_scan_solves_the_multiplier_once_per_point(monkeypatch):
-    # every point solves on the one pin the scan took for the model
+def test_scan_solves_every_multiplier_in_one_call(monkeypatch):
+    # one solve over all points, on the one pin the scan took for the model
     calls = []
     solve = continuous.solve_lambda_star
 
-    def counted(*args, **kwargs):
-        calls.append((kwargs.get("extended"), kwargs.get("panels")))
-        return solve(*args, **kwargs)
+    def counted(params, state, **kwargs):
+        calls.append((len(state), kwargs.get("extended"), kwargs.get("panels")))
+        return solve(params, state, **kwargs)
 
     monkeypatch.setattr(continuous, "solve_lambda_star", counted)
-    rep = scan(_params(), _state(0.0), (1.0, 6.0), points=5, grid_points=100)
-    assert calls == [(True, continuous._panels(_params()))] * 5
-    # the bound at the schedule's multiplier is the stand-alone bound
-    rtb = round_trip_profit_bound(_params(), _state(float(rep.z_values[2])))
-    assert rep.profit_bounds[2] == pytest.approx(rtb.bound, rel=1e-14)
+    scan(_params(), _state(0.0), (1.0, 6.0), points=5, grid_points=100)
+    assert calls == [(5, True, continuous._panels(_params()))]
 
 
 def test_scan_bound_reads_the_schedule_trajectory(monkeypatch):
-    # per point: one solve and one inversion; the bound inverts nothing
+    # one solve for all points, then one inversion per point; the bound inverts nothing
     solves, sizes, bound_inversions = [], [], []
     solve, inverse, bound_at = (continuous.solve_lambda_star, continuous.p_inverse,
                                 manipulation._bound_at)
 
     def counted_solve(*args, **kwargs):
-        sizes.append(None)  # the solve's own inversions are not counted
-        solves.append(solve(*args, **kwargs))
-        sizes[-1] = []
+        solves.append(solve(*args, **kwargs))  # the solve's own inversions are not counted
         return solves[-1]
 
     def counted_inverse(q, alpha):
-        if sizes and sizes[-1] is not None:
-            sizes[-1].append(np.size(q))
+        if solves:
+            sizes.append(np.size(q))
         return inverse(q, alpha)
 
     def counted_bound(*args):
-        before = len(sizes[-1])
+        before = len(sizes)
         out = bound_at(*args)
-        bound_inversions.append(len(sizes[-1]) - before)
+        bound_inversions.append(len(sizes) - before)
         return out
 
     monkeypatch.setattr(continuous, "solve_lambda_star", counted_solve)
     monkeypatch.setattr(continuous, "p_inverse", counted_inverse)
     monkeypatch.setattr(manipulation, "_bound_at", counted_bound)
     scan(_params(), _state(0.0), (1.0, 6.0), points=4, grid_points=400)
-    assert len(solves) == 4
+    assert len(solves) == 1 and solves[0].shape == (4,)
     assert bound_inversions == [0] * 4
-    for after in sizes:
-        assert len(after) == 1
-        assert sum(size > 2 * 400 + 1 for size in after) == 1
+    assert len(sizes) == 4
+    assert all(size > 2 * 400 + 1 for size in sizes)
+
+
+@pytest.mark.parametrize("sigma,z_range", [(0.2, (0.5, 10.0)), (0.35, (0.0, 4.0)),
+                                           (0.1, (-0.5, 3.0))])
+def test_scan_points_equal_the_single_state_path(sigma, z_range):
+    # the batched solve leaves each point with the bits of the public one-state calls
+    params = _params(sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StandingAssumptionWarning)
+        rep = scan(params, _state(0.0), z_range, points=7)
+        for i, z in enumerate(rep.z_values):
+            st = _state(float(z))
+            assert rep.profit_bounds[i] == round_trip_profit_bound(params, st).bound
+            sched = schedule(params, st, 400, extended=True)
+            assert rep.verified_profits[i] == expected_proceeds(params, st, sched.strategy)
+
+
+@pytest.mark.parametrize("z_range", [(0.5, 800.0), (0.5, math.inf), (-math.inf, 1.0)])
+def test_scan_window_beyond_the_float_range_is_config_error(z_range):
+    # e^{F+z} overflowed math.exp, and an infinite end reached numpy's warnings first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="z"):
+            scan(_params(), _state(0.0), z_range, points=5)
 
 
 def test_scan_requires_flat_book():

@@ -105,6 +105,57 @@ def test_find_root_stops_at_the_noise_floor():
     assert len(seen) <= 5
 
 
+def test_find_root_several_brackets_match_one_bracket_calls():
+    # each bracket of a batch stops on its own round with its own bits; the
+    # batch holds a steep Newton bracket, bisection-only ones (zero slope),
+    # a noisy one and both kinds of endpoint root
+    cases = [
+        (lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0),
+        (lambda x: (math.tanh(x) - 0.5, 1.0 - math.tanh(x) ** 2), 0.0, 3.0),
+        (lambda x: (x - 1.0, 0.0), 0.0, 3.0),
+        (lambda x: (x - 1.0, 0.0), 1.0, 2.0),
+        (lambda x: (x - 1.0, 0.0), 0.0, 1.0),
+        (lambda x: (1.0 - x * math.exp(x), -(1.0 + x) * math.exp(x)), 0.0, 1.0),
+        (lambda x: (20.4336388081808 - x + 1e-14 * math.sin(1e15 * x), -1.0), -700.0, 40.0),
+    ]
+    lo = [c[1] for c in cases]
+    hi = [c[2] for c in cases]
+    f_lo = [c[0](v)[0] for c, v in zip(cases, lo)]
+    f_hi = [c[0](v)[0] for c, v in zip(cases, hi)]
+    rounds, lives = [0] * len(cases), []
+
+    def fdf(x, live):
+        lives.append(list(live))
+        assert len(x) == len(live)
+        out = [cases[i][0](float(v)) for i, v in zip(live, x)]
+        for i in live:
+            rounds[i] += 1
+        return [o[0] for o in out], [o[1] for o in out]
+
+    roots = find_root(fdf, lo, hi, f_lo, f_hi, xtol=1e-15)
+    alone = []
+    for c, a, b, fa, fb in zip(cases, lo, hi, f_lo, f_hi):
+        seen = []
+        alone.append(find_root(lambda x: seen.append(x) or c[0](x), a, b, fa, fb, xtol=1e-15))
+        assert rounds[len(alone) - 1] == len(seen)
+    assert roots.tolist() == alone
+    assert rounds[3] == rounds[4] == 0  # endpoint roots take no evaluation
+    assert len(set(rounds)) > 2 and lives[0] == [0, 1, 2, 5, 6]
+
+
+def test_solve_multiplier_system_matches_one_solve_per_equation():
+    # lambda = c e^{-lambda} for several c at once, as the scan solves its z points
+    cs = np.geomspace(1e-300, 1e300, 13)
+
+    def log_e(lam, live=None):
+        c = cs if live is None else cs[live]
+        return np.log(c) - lam, -np.broadcast_to(lam, c.shape)
+
+    lams = solve_multiplier(log_e)
+    assert lams.tolist() == [solve_multiplier(lambda lam, c=c: (math.log(c) - lam, -lam))
+                             for c in cs]
+
+
 def test_lambert_w0_exact_points():
     assert lambert_w0(-math.exp(-1.0)) == -1.0
     assert lambert_w0(0.0) == 0.0
@@ -127,6 +178,25 @@ def test_lambert_w0_inverts_w_exp_w(x):
         w = float(lambert_w0(np.array([x]))[0])
         assert w >= -1.0
         assert w * math.exp(w) == pytest.approx(x, rel=1e-13, abs=1e-300)
+
+
+_W0_ARGUMENTS = st.one_of(st.floats(-math.exp(-1.0), -0.25),   # branch-point start
+                          st.floats(-0.25, math.e),              # log(1 + x) start
+                          st.floats(math.e, 1e300))              # log x - log log x start
+
+
+@settings(max_examples=100)
+@given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(_W0_ARGUMENTS, min_size=width, max_size=width), min_size=1, max_size=6)))
+def test_lambert_w0_rows_keep_their_bits(rows):
+    # every row stops on its own iteration: the batch is each row passed alone
+    x = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = lambert_w0(x)
+        assert batch.shape == x.shape
+        assert batch.tobytes() == np.array([lambert_w0(row) for row in x]).tobytes()
+        assert lambert_w0(x[None]).tobytes() == batch.tobytes()
 
 
 @settings(max_examples=200)
