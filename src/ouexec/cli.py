@@ -15,6 +15,7 @@ a one-line machine-readable JSON reason to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -99,19 +100,13 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, int):
-                cells.append(repr(v))
-            else:
-                cells.append(repr(float(v)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns) -> str:
+    """CSV of equal-length columns: float arrays, or lists of Python ints, floats or text.
+
+    str is repr for an int or a float and leaves text as it is.
+    """
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -139,9 +134,9 @@ def cmd_solve(params, state, opts, out_dir: Path, tol: float) -> int:
         return 0
 
     sched = continuous.schedule(params, state, grid_points=grid_points, tol=tol)
-    rows = zip(sched.times, sched.xi, sched.zeta, sched.eta, sched.expected_price)
     _write(out_dir, "schedule.csv",
-           _csv(["r", "xi_star", "zeta_star", "eta_star", "expected_price"], rows))
+           _csv(["r", "xi_star", "zeta_star", "eta_star", "expected_price"],
+                [sched.times, sched.xi, sched.zeta, sched.eta, sched.expected_price]))
     _write(out_dir, "schedule.json", _json_text({
         "closed_form": True,
         "regime": sched.regime.value,
@@ -173,14 +168,14 @@ def cmd_converge(params, state, opts, out_dir: Path, tol: float) -> int:
             psi = discrete.recover_psi(params, state, n, lam)
             val = discrete.discrete_value(params, state, psi, n)
             err = abs(val - v_ref)
-            rows.append((n, lam, float(psi[0]), float(psi[-1]), val, err))
+            rows.append((lam, psi[0], psi[-1], val, err))
             errs.append((n, err))
         except NumericalError as e:
             print(f"n={n}: {e}", file=sys.stderr)
-            rows.append((n, math.nan, math.nan, math.nan, math.nan, math.nan))
+            rows.append((math.nan,) * 5)
     _write(out_dir, "convergence.csv",
            _csv(["n", "lambda_hat", "psi_0", "psi_last", "objective",
-                 "err_vs_continuous"], rows))
+                 "err_vs_continuous"], [n_list, *np.array(rows, dtype=float).T]))
     if errs:
         ns = np.array([n for n, _ in errs], dtype=float)
         es = np.array([e for _, e in errs], dtype=float)
@@ -269,8 +264,9 @@ def cmd_verify(params, state, opts, out_dir: Path, tol: float) -> int:
                              **_mc_agreement(rep.mean_cash, rep.std_error, v_cont)}
     detail["discrete_minus_continuous"] = v_disc - v_cont
 
+    methods, values, details = zip(*rows)
     _write(out_dir, "verify.csv", _csv(["method", "value", "detail"],
-                                       [(m, v, d) for m, v, d in rows]))
+                                       [methods, np.array(values, dtype=float), details]))
     _write(out_dir, "verify.json", _json_text(detail))
     return 0
 
@@ -281,9 +277,9 @@ def cmd_manipulate(params, state, opts, out_dir: Path, tol: float) -> int:
     z_range = tuple(opts.get("z_range", [0.0, 10.0]))
     grid_points = opts.get("grid_points", 400)
     rep = manipulation.scan(params, state, z_range, grid_points=grid_points)
-    rows = zip(rep.z_values, rep.l_values, rep.profit_bounds, rep.verified_profits)
     _write(out_dir, "manipulation.csv",
-           _csv(["z", "L", "bound", "verified_profit"], rows))
+           _csv(["z", "L", "bound", "verified_profit"],
+                [rep.z_values, rep.l_values, rep.profit_bounds, rep.verified_profits]))
     # normalize the bound by s_z/alpha so both curves live on L's scale
     s_z = np.exp(params.fundamental_log + rep.z_values)
     norm_bound = rep.profit_bounds * params.alpha / s_z
@@ -308,6 +304,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ouexec",

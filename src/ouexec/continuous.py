@@ -278,7 +278,7 @@ def value(params: ModelParams, state: MarketState, tol: float = 1e-10) -> float:
     if d.z > 2.0 * d.y and classify(params, state) is Regime.GAP:
         from . import discrete
         n = 2000
-        lam = discrete.solve_lambda_hat(params, state, n)
+        lam = discrete.solve_lambda_hat(params, state, n, tol=tol)
         psi = discrete.recover_psi(params, state, n, lam)
         if float(np.min(psi)) < -1e-10 * max(1.0, state.holdings):
             raise NumericalError(

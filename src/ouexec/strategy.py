@@ -11,6 +11,7 @@ tests and `ouexec verify` can confirm the convergence.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -160,13 +161,12 @@ def to_csv(strategy: ExecutionStrategy) -> str:
         if abs(idx - i) > 1e-9:
             raise ConfigError(f"impulse at {r} is not on the grid and cannot be tabulated")
         imp_at[i] = imp_at.get(i, 0.0) + p
-    lines = ["r,impulse,zeta,cumulative_sold"]
-    cum = 0.0
-    for i in range(n + 1):
-        r = i * w if i < n else strategy.horizon
-        cum += imp_at.get(i, 0.0)
-        zeta = strategy.density[min(i, n - 1)]
-        lines.append(f"{float(r)!r},{float(imp_at.get(i, 0.0))!r},{float(zeta)!r},{float(cum)!r}")
-        if i < n:
-            cum += strategy.density[i] * w
-    return "\n".join(lines) + "\n"
+    imps = [imp_at.get(i, 0.0) for i in range(n + 1)]
+    dens = strategy.density.tolist()
+    steps = [0.0] * (2 * n + 1)  # block i, then the sales of cell i: the rows' order
+    steps[::2] = imps
+    steps[1::2] = [rate * w for rate in dens]
+    cum = list(itertools.accumulate(steps, initial=0.0))[1::2]
+    rows = map("{!r},{!r},{!r},{!r}".format, [i * w for i in range(n)] + [float(strategy.horizon)],
+               imps, dens + dens[-1:], cum)
+    return "r,impulse,zeta,cumulative_sold\n" + "\n".join(rows) + "\n"

@@ -363,6 +363,14 @@ def test_gap_regime_refuses_schedule_but_values(ou_params):
     assert v > 0.25
 
 
+@pytest.mark.parametrize("phi", [1.5, 3.0], ids=["gap", "large_holdings"])
+def test_value_honours_tol_in_every_regime(ou_params, phi):
+    # the gap fallback's multiplier solve ran at its default tolerance whatever tol was
+    state = MarketState(cash=0.0, holdings=phi, price=E)
+    with pytest.raises(NumericalError, match="residual"):
+        value(ou_params, state, tol=1e-300)
+
+
 def test_value_dispatch_matches_schedule(ou_params, zv_params, ref_state):
     # value() reads schedule()'s value outside the gap, bit for bit, at any grid
     rng = np.random.default_rng(11)
