@@ -32,8 +32,8 @@ import numpy as np
 from . import zero_vol
 from .errors import ConfigError, NumericalError, RegimeError, check_int, check_positive
 from .model import MarketState, ModelParams, Regime, block_factor, classify, derive
-from .numerics import (FLOAT_TINY, LOG_FLOAT_MAX, adaptive_quad, lambert_w0, panel_nodes,
-                       solve_multiplier)
+from .numerics import (FLOAT_TINY, LOG_FLOAT_MAX, adaptive_quad, float_range, lambert_w0,
+                       panel_nodes, solve_multiplier)
 from .strategy import ExecutionStrategy, assemble_optimal
 
 
@@ -345,6 +345,7 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
     return _schedule(params, state, grid_points, tol, extended)[0]
 
 
+@float_range("the schedule")
 def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: float = 1e-10,
               extended: bool = False, panels: int | None = None,
               lam: float | None = None) -> tuple[ContinuousSchedule, _Trajectory | None]:

@@ -29,7 +29,7 @@ import numpy as np
 from . import continuous
 from .errors import ConfigError, check_int
 from .model import MarketState, ModelParams, derive
-from .numerics import LOG_FLOAT_MAX, find_root
+from .numerics import LOG_FLOAT_MAX, find_root, float_range
 from .proceeds import expected_proceeds
 
 
@@ -84,6 +84,7 @@ def round_trip_profit_bound(params: ModelParams, state: MarketState) -> RoundTri
     return _bound_at(params, state, lam, continuous._trajectory(params, lam, panels))
 
 
+@float_range("the round-trip bound")
 def _bound_at(params: ModelParams, state: MarketState, lam: float,
               tr: continuous._Trajectory) -> RoundTripBound:
     """The round-trip profit bounds at the extended multiplier lam, whose trajectory is tr."""
@@ -93,6 +94,8 @@ def _bound_at(params: ModelParams, state: MarketState, lam: float,
     shrink = math.exp(d.y - d.z)
     bound = (state.price / a) * (1.0 - (1.0 + b * t) * shrink * lam / a
                                  + b * shrink * integral)
+    if not math.isfinite(bound):  # a float product past the range rounds to inf silently
+        raise OverflowError(bound)
     weak = (state.price / a) * float(l_eval(d.z, b, t))
     return RoundTripBound(bound=float(bound), weak_bound=float(weak),
                           lambda_star=float(lam))

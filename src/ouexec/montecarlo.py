@@ -12,7 +12,9 @@ to roundoff.
 Randomness comes from a counter-based generator seeded once; draws are
 step-major (one vector of normals per step across all paths), so results
 are bit-reproducible for a given (seed, paths, steps) triple regardless
-of hardware.
+of hardware. The step loop works in buffers allocated once per call (log
+prices, cash, one scratch vector and one vector of normals) and allocates
+no array per step; the normals fill the buffer in the same draw order.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
     k_u = np.exp(-b * u)
     w_u = 0.5 * dt * weights
     base_m = (1.0 - k_u) * fund + y * (1.0 - k_u ** 2)
+    accrual = list(zip(k_u.tolist(), w_u.tolist(), base_m.tolist()))
 
     decay = math.exp(-b * dt)
     step_sd = 0.0 if deterministic else sig * math.sqrt((1.0 - decay ** 2) / (2.0 * b))
@@ -94,26 +97,27 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
 
     x = np.full(n_paths, fund + d.z)
     cash = np.full(n_paths, state.cash, dtype=float)
+    buf, noise = np.empty(n_paths), np.empty(n_paths)  # the loop allocates no array
 
     for j in range(steps):
         p_here = boundary_blocks.get(j)
         if p_here:
-            cash += np.exp(x) * block_factor(p_here, a)
+            cash += np.multiply(np.exp(x, out=buf), block_factor(p_here, a), out=buf)
             x -= a * p_here
         zeta = float(dens[cell_of_step[j]])
         if zeta != 0.0:
-            m_u = base_m - a * zeta * (1.0 - k_u) / b
-            for i in range(_ACCRUAL_ORDER):
-                cash += (w_u[i] * zeta) * np.exp(m_u[i] + k_u[i] * x)
-        drift = (1.0 - decay) * fund - a * zeta * (1.0 - decay) / b
-        if deterministic:
-            x = decay * x + drift
-        else:
-            x = decay * x + drift + step_sd * rng.standard_normal(n_paths)
+            for k, w, m in accrual:
+                np.multiply(x, k, out=buf)
+                buf += m - a * zeta * (1.0 - k) / b
+                cash += np.multiply(np.exp(buf, out=buf), w * zeta, out=buf)
+        x *= decay
+        x += (1.0 - decay) * fund - a * zeta * (1.0 - decay) / b
+        if not deterministic:
+            x += np.multiply(rng.standard_normal(out=noise), step_sd, out=noise)
 
     p_end = boundary_blocks.get(steps)
     if p_end:
-        cash += np.exp(x) * block_factor(p_end, a)
+        cash += np.multiply(np.exp(x, out=buf), block_factor(p_end, a), out=buf)
 
     mean = float(np.mean(cash))
     se = 0.0 if n_paths == 1 else float(np.std(cash, ddof=1) / math.sqrt(n_paths))

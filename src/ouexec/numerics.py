@@ -19,6 +19,7 @@ bits of one call per bracket.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from typing import Callable
@@ -30,6 +31,18 @@ from .errors import ConfigError, NumericalError
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # below the smallest normal float a value has fewer than 53 significant bits
 FLOAT_TINY = sys.float_info.min
+
+
+@contextlib.contextmanager
+def float_range(what: str):
+    """Raise NumericalError for a float overflow in the block, from math or from numpy."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise NumericalError(
+            f"{what} overflows the float range ({sys.float_info.max:.6g})") from exc
+
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

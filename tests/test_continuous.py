@@ -435,3 +435,12 @@ def test_random_large_instances_conserve_and_verify(seed):
                              sched.p_star, sched.q_star)
     flow = value_flow_form(params, state, sched.lambda_star)
     assert block == pytest.approx(flow, rel=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [1.2, 2.0])  # y = 360 and 1000: e^(F + y) x e^(...) overflows
+def test_large_y_extended_schedule_is_a_numerical_error(sigma):
+    params = ModelParams(alpha=1.0, beta=1e-3, sigma=sigma, fundamental_log=0.0, horizon=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StandingAssumptionWarning)
+        with pytest.raises(NumericalError, match="float range"):
+            schedule(params, MarketState(cash=0.0, holdings=3.0, price=E), extended=True)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import reference_values as ref
-from ouexec import (ConfigError, MarketState, ModelParams, StandingAssumptionWarning,
-                    continuous, expected_proceeds, manipulation)
+from ouexec import (ConfigError, MarketState, ModelParams, NumericalError,
+                    StandingAssumptionWarning, continuous, expected_proceeds, manipulation)
 from ouexec.continuous import schedule, value_block_form
 from ouexec.manipulation import l_eval, l_root, round_trip_profit_bound, scan
 
@@ -192,3 +192,12 @@ def test_scan_window_beyond_the_float_range_is_config_error(z_range):
 def test_scan_requires_flat_book():
     with pytest.raises(ConfigError):
         scan(_params(), _state(1.0, phi=2.0), (0.0, 5.0), points=4)
+
+
+@pytest.mark.parametrize("sigma", [1.2, 2.0])  # y = 360 (the parent's bound was inf), y = 1000
+def test_large_y_bound_is_a_numerical_error(sigma):
+    params = ModelParams(alpha=1.0, beta=1e-3, sigma=sigma, fundamental_log=0.0, horizon=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StandingAssumptionWarning)
+        with pytest.raises(NumericalError, match="float range"):
+            round_trip_profit_bound(params, _state(1.0))

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_montecarlo
 from ouexec import ConfigError, MarketState, ModelParams, expected_proceeds, simulate
 from ouexec.continuous import schedule
 from ouexec.discrete import discrete_value, recover_psi, solve_lambda_hat
@@ -118,3 +121,43 @@ def test_integer_cash_is_accepted(ou_params, zv_params):
     disc = simulate(ou_params, state, period_blocks(np.array([1.0, 1.0, 1.0]), 3),
                     paths=200, steps=3, seed=0)
     assert math.isfinite(disc.mean_cash) and disc.mean_cash > 0.0
+
+
+@st.composite
+def _instances(draw):
+    """A model, a state and a strategy on whole cells, with steps a multiple of the cells."""
+    sigma = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    params = ModelParams(alpha=draw(st.floats(0.0, 2.0)), beta=draw(st.floats(0.1, 3.0)),
+                         sigma=sigma, fundamental_log=draw(st.floats(-0.5, 0.5)),
+                         horizon=draw(st.sampled_from([1.0, 0.6, 0.25])))
+    state = MarketState(cash=draw(st.floats(-1.0, 1.0)), holdings=3.0,
+                        price=math.exp(draw(st.floats(-0.5, 1.5))))
+    if draw(st.booleans()):  # verify's gap path: one block per period, no rate
+        n = draw(st.integers(1, 8))
+        psi = draw(st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n))
+        return params, state, period_blocks(np.array(psi), n), n * draw(st.integers(1, 8))
+    cells = draw(st.integers(1, 12))
+    steps = cells * draw(st.integers(1, 8))
+    t = params.horizon
+    times = [0.0, t, t * draw(st.integers(1, steps)) / steps, draw(st.floats(0.0, t))]
+    blocks = draw(st.lists(st.tuples(st.sampled_from(times), st.floats(0.0, 1.0)), max_size=3))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.4, 1.3, 2.0]), min_size=cells, max_size=cells))
+    strat = ExecutionStrategy(impulses=tuple(blocks), density=np.array(rates), horizon=t)
+    return params, state, strat, steps
+
+
+@settings(max_examples=120)
+@given(inst=_instances(), paths=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_buffered_loop_matches_the_per_step_loop(inst, paths, seed):
+    params, state, strat, steps = inst
+    rep = simulate(params, state, strat, paths=paths, steps=steps, seed=seed)
+    mean, se = reference_montecarlo.simulate(params, state, strat, paths, steps, seed)
+    assert (rep.mean_cash.hex(), rep.std_error.hex()) == (mean.hex(), se.hex())
+
+
+def test_reference_instance_mean_is_frozen(ou_params, ref_state):
+    # the per-step loop's bits on the reference schedule: 2000 paths x 1000 steps, seed 0
+    sched = schedule(ou_params, ref_state, grid_points=1000)
+    rep = simulate(ou_params, ref_state, sched.strategy, paths=2000, steps=1000, seed=0)
+    assert rep.mean_cash.hex() == "0x1.672282c862bb4p+1"
+    assert rep.std_error.hex() == "0x1.7f12dced6836fp-10"

@@ -1,5 +1,6 @@
 import html
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -39,9 +40,11 @@ def test_matches_the_point_loop(series, log_x, log_y):
         assert "nan" not in text and "inf" not in text
         return
     except OverflowError:
-        # a log axis whose padded range runs past 1e308: 10.0 ** tick overflows in both
-        with pytest.raises(OverflowError):
-            line_plot(labelled, "T", "x", "y", log_x=log_x, log_y=log_y)
+        # a log axis whose padded range runs past 1e308: the point loop's 10.0 ** tick
+        # overflows, while the writer ends that axis at the float range
+        text = line_plot(labelled, "T", "x", "y", log_x=log_x, log_y=log_y)
+        assert "nan" not in text and "inf" not in text
+        assert f">{sys.float_info.max:.6g}</text>" in text
         return
     assert line_plot(labelled, "T", "x", "y", log_x=log_x, log_y=log_y) == expected
 
@@ -96,6 +99,18 @@ def test_a_single_large_value_gets_a_range(v, px):
     text = line_plot([("s", [v, v], [v, 0.0])], "T", "x", "y")
     pts = text.split('points="')[1].split('"')[0]
     assert pts in (f"{px},57.93 {px},356.07", f"{px},356.07 {px},57.93")
+
+
+def test_a_log_axis_ends_at_the_float_range():
+    # 4% padding above log10(1e300) runs past 1e308, where 10.0 ** tick overflowed
+    series = [("s", [1.0, 2.0], [5e-324, 1e300])]
+    with pytest.raises(OverflowError):
+        ref_fmt.line_plot(series, "T", "x", "y", log_y=True)
+    lines = line_plot(series, "T", "x", "y", log_y=True).splitlines()
+    y_ticks = [ln.split(">")[1].split("<")[0] for ln in lines if 'text-anchor="end">' in ln]
+    assert y_ticks[-1] == "1.79769e+308"
+    pts = lines[-3].split('points="')[1].split('"')[0]
+    assert all(46.0 <= float(p.split(",")[1]) <= 368.0 for p in pts.split())  # inside the axes
 
 
 def test_axes_legend_and_viewbox_of_a_small_plot():
