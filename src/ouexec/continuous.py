@@ -347,13 +347,8 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
 
 @float_range("the schedule")
 def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: float = 1e-10,
-              extended: bool = False, panels: int | None = None,
-              lam: float | None = None) -> tuple[ContinuousSchedule, _Trajectory | None]:
-    """schedule() and the solved multiplier's trajectory.
-
-    panels is the xi* pin and lam the multiplier solve_lambda_star gives
-    for this state on it, if the caller holds them.
-    """
+              extended: bool = False) -> tuple[ContinuousSchedule, _Trajectory | None]:
+    """schedule() and the solved multiplier's trajectory."""
     check_int("grid_points", grid_points, 1)
     d = derive(params, state)
     a, b, t = params.alpha, params.beta, params.horizon
@@ -365,7 +360,7 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
             f"z = {d.z:.6g} <= 2y = {2.0 * d.y:.6g}: the standard schedule "
             "is only optimal under z > 2y (extended=True evaluates the "
             "formulas anyway, without optimality claims)")
-    times = np.linspace(0.0, t, grid_points + 1)
+    times, samples = _sample_times(t, grid_points)
     tr = None
 
     if regime is Regime.ZERO_VOL and not extended:
@@ -394,18 +389,15 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
             "holdings fall between the small- and large-holdings conditions; "
             "no closed form applies (use the discrete approximation)")
     else:
-        panels = panels or _panels(params)
-        if lam is None:
-            lam = solve_lambda_star(params, state, tol=tol, extended=extended, panels=panels)
-        # the grid, then the cell midpoints at which the strategy samples the rate
-        tr = _trajectory(params, lam, panels, np.append(times, 0.5 * (times[:-1] + times[1:])))
+        panels = _panels(params)
+        lam = solve_lambda_star(params, state, tol=tol, extended=extended, panels=panels)
+        tr = _trajectory(params, lam, panels, samples)
         n = times.size
         xi, decay2 = tr.xi[:n], tr.decay2[:n]
-        zeta, mid_zeta = np.split(_zeta(params, tr.xi, tr.decay2), [n])
+        p_star, q_star, zeta, mid_zeta = _blocks_and_rate(params, d.z, phi, tr, n)
+        p_star, q_star = float(p_star), float(q_star)
         eta = xi - (1.0 + decay2) * d.y / a + d.z / a
         price = math.exp(params.fundamental_log + d.y) * np.exp(decay2 * d.y - a * xi)
-        p_star = float(xi[0] + (d.z - 2.0 * d.y) / a)
-        q_star = float(phi - b * tr.j - xi[-1] - d.z / a + d.y * (1.0 + math.exp(-2.0 * b * t)) / a)
         dens_int = float(np.dot(tr.weights, _zeta(params, tr.node_xi, tr.node_decay2)))
         strategy = assemble_optimal(p_star, mid_zeta, q_star, t, extended_mode=extended)
         val = _value_block(params, state, tr, p_star, q_star, float(xi[-1]))
@@ -413,3 +405,48 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
         regime=regime, lambda_star=lam, p_star=p_star, q_star=q_star,
         times=times, xi=xi, eta=eta, zeta=zeta, expected_price=price,
         density_integral=dens_int, value=val, strategy=strategy, extended=extended), tr
+
+
+def _sample_times(horizon: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strategy grid over [0, horizon], and xi*'s sample times: the grid, then the midpoints."""
+    times = np.linspace(0.0, horizon, grid_points + 1)
+    return times, np.append(times, 0.5 * (times[:-1] + times[1:]))
+
+
+def _blocks_and_rate(params: ModelParams, z, phi, tr: _Trajectory, n: int):
+    """p*, q*, and zeta* on the n grid times and at the cell midpoints, from tr at _sample_times.
+
+    One state gives z and phi as floats and tr a 1-D xi. States with a row
+    of xi each give z and phi an entry per row, and every row gets the
+    floats its state gives alone.
+    """
+    a, b, y = params.alpha, params.beta, params.y
+    zeta, mid_zeta = np.split(_zeta(params, tr.xi, tr.decay2), [n], axis=-1)
+    p_star = tr.xi[..., 0] + (z - 2.0 * y) / a
+    q_star = (phi - b * np.asarray(tr.j) - tr.xi[..., n - 1] - z / a
+              + y * (1.0 + math.exp(-2.0 * b * params.horizon)) / a)
+    return p_star, q_star, zeta, mid_zeta
+
+
+@float_range("the schedule")
+def _extended_strategies(params: ModelParams, states: list[MarketState], lams: np.ndarray,
+                         panels: int,
+                         grid_points: int) -> list[tuple[ExecutionStrategy, _Trajectory]]:
+    """Each state's extended-schedule strategy at its multiplier, with its own xi* trajectory.
+
+    lams holds the multipliers solve_lambda_star gives the states on the
+    pin `panels`. One inversion on a row per state gives every schedule,
+    and each strategy and trajectory carries the bits of that state's
+    _schedule(params, state, grid_points, extended=True).
+    """
+    check_int("grid_points", grid_points, 1)
+    for st in states:
+        classify(params, st)  # the standing-assumption warning of each state's schedule
+    times, samples = _sample_times(params.horizon, grid_points)
+    tr = _trajectory(params, lams, panels, samples)
+    z = np.array([derive(params, st).z for st in states])
+    phi = np.array([st.holdings for st in states])
+    p_star, q_star, _, mid_zeta = _blocks_and_rate(params, z, phi, tr, times.size)
+    return [(assemble_optimal(p, mid_zeta[k], q, params.horizon, extended_mode=True),
+             tr._replace(node_xi=tr.node_xi[k], xi=tr.xi[k], j=tr.j[k]))
+            for k, (p, q) in enumerate(zip(p_star.tolist(), q_star.tolist()))]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, check_int, check_positive
 from .model import MarketState, ModelParams, derive
-from .numerics import FLOAT_TINY, LOG_FLOAT_MAX, lambert_w0_exp, solve_multiplier
+from .numerics import FLOAT_TINY, LOG_FLOAT_MAX, float_range, lambert_w0_exp, solve_multiplier
 
 
 def periods(params: ModelParams, n: int) -> tuple[int, float]:
@@ -231,6 +231,12 @@ def hn_eval(params: ModelParams, state: MarketState, lam: float, n: int) -> floa
     return math.exp(log_e) - lam
 
 
+def _targets(params: ModelParams, c: float, ks: np.ndarray, lam: float) -> np.ndarray:
+    """e^{c^{2k} y} lam / alpha, the value F^n_k takes at period k's response x_k."""
+    with float_range("the per-period response target"):
+        return np.exp(c ** (2 * ks) * params.y) * lam / params.alpha
+
+
 def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
                       n: int) -> tuple[float, float]:
     """log E_n(lam) and d log E_n / d log lam, from one pass of response inverses.
@@ -240,7 +246,7 @@ def _log_e_with_slope(params: ModelParams, state: MarketState, lam: float,
     m, c = periods(params, n)
     d = derive(params, state)
     a, u, ks = params.alpha, _one_minus_c(params, n), np.arange(m - 1)
-    finv = fnk_inverse(params, n, ks, np.exp(c ** (2 * ks) * params.y) * lam / a)
+    finv = fnk_inverse(params, n, ks, _targets(params, c, ks, lam))
     log_e = (math.log(a) + a * u * float(np.sum(finv)) - a * state.holdings
              + d.z - c ** (2 * (m - 1)) * params.y)
     slope = _inv_log_slope(a, c, u, a * u * (finv - fnk_zero(params, n, ks)))
@@ -280,7 +286,7 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float) -> 
         psi, floor = np.array([phi]), 0.0
     else:
         ks = np.arange(m - 1)
-        finv = fnk_inverse(params, n, ks, np.exp(c ** (2 * ks) * params.y) * lam / a)
+        finv = fnk_inverse(params, n, ks, _targets(params, c, ks, lam))
         psi = np.empty(m)
         psi[0] = finv[0] + d.z / a
         psi[1:m - 1] = finv[1:] - c * finv[:-1]

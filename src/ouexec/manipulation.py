@@ -110,6 +110,11 @@ class ManipulationReport:
     first_profitable_z: float | None
 
 
+# scan points per xi* inversion: at grid 400, four rows of 929 samples keep the
+# inversion's working set within the proceeds evaluator's, whatever the point count
+_BLOCK = 4
+
+
 def _scan_grid(params: ModelParams, z_range: tuple[float, float], points: int) -> np.ndarray:
     """The scan's z points; each must leave the price e^{F+z} inside the float range."""
     lo, hi = float(z_range[0]), float(z_range[1])
@@ -135,11 +140,14 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
 
     For each z the market price is reset to e^{F+z} with zero holdings.
     One solve_lambda_star call finds the extended multipliers of every z
-    together; then each z's extended schedule is built at its multiplier,
-    and the profit is both bounded analytically there and verified exactly
-    by the proceeds evaluator on the assembled strategy. first_profitable_z
-    reports the smallest scanned z certified both ways: analytic bound > 0
-    and verified profit > 0.
+    together. The extended schedules are then built _BLOCK points at a
+    time, from one xi* inversion with a row per point, so a long scan
+    never holds every point's trajectory at once; each point keeps the
+    bits of its own schedule. At each z the profit is bounded analytically
+    on that point's trajectory and verified exactly by the proceeds
+    evaluator on its strategy. first_profitable_z reports the smallest
+    scanned z certified both ways: analytic bound > 0 and verified
+    profit > 0.
     """
     if abs(state.holdings) > 1e-12:
         raise ConfigError("scan operates on round trips; set phi = 0")
@@ -151,11 +159,14 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
               for z in zs]
     panels = continuous._panels(params)  # xi* reads the model alone: one pin for every z
     lams = continuous.solve_lambda_star(params, states, extended=True, panels=panels)
-    for i, (st, lam) in enumerate(zip(states, lams.tolist())):
-        sched, tr = continuous._schedule(params, st, grid_points, extended=True, panels=panels,
-                                         lam=lam)
-        bounds[i] = _bound_at(params, st, sched.lambda_star, tr).bound
-        profits[i] = expected_proceeds(params, st, sched.strategy) - state.cash
+    for start in range(0, points, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        rows = continuous._extended_strategies(params, states[block], lams[block], panels,
+                                               grid_points)
+        for i, lam, (strategy, tr) in zip(range(start, points), lams[block].tolist(), rows):
+            bounds[i] = _bound_at(params, states[i], lam, tr).bound
+            profits[i] = expected_proceeds(params, states[i], strategy) - state.cash
+        del rows, strategy, tr  # the block's trajectory goes before the next block's inversion
 
     certified = np.flatnonzero((bounds > 0.0) & (profits > 0.0))
     first = float(zs[certified[0]]) if certified.size else None

@@ -77,17 +77,21 @@ def _impact_path(params: ModelParams, strategy: strat.ExecutionStrategy):
     rates = np.insert(strategy.density, cut, strategy.density[cut - 1])
     # a row per event and, just before it, a zero-length row per block there
     ev = np.searchsorted(events, anchors)
-    length = np.insert(np.append(np.diff(events), 0.0), ev, 0.0)
-    rate = np.insert(np.append(rates, 0.0), ev, 0.0)
-    jump = np.insert(np.zeros(events.size), ev, [alpha * p for _, p in strategy.impulses])
+    is_block = np.zeros(events.size + ev.size, dtype=bool)
+    is_block[ev + np.arange(ev.size)] = True  # block k goes before event ev[k]
+    length, rate, jump = np.zeros((3, is_block.size))
+    length[~is_block] = np.append(np.diff(events), 0.0)
+    rate[~is_block] = np.append(rates, 0.0)
+    jump[is_block] = [alpha * p for _, p in strategy.impulses]
+    # the recurrence's per-segment factors, taken before the loop that needs D
+    push = (alpha * rate).tolist()
+    relax = [-e / beta for e in map(math.expm1, (-beta * length).tolist())]
     before, d = [], 0.0
-    for span, zeta, j in zip(length.tolist(), rate.tolist(), jump.tolist()):
+    for p, f, j in zip(push, relax, jump.tolist()):
         before.append(d)
         d += j
-        d += (alpha * zeta - beta * d) * (-math.expm1(-beta * span) / beta)
+        d += (p - beta * d) * f
     before = np.array(before)
-    is_block = np.zeros(before.size, dtype=bool)
-    is_block[ev + np.arange(ev.size)] = True  # np.insert put block k at ev[k] + k
     return events, rates, before[~is_block], before[is_block]
 
 

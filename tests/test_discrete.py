@@ -227,6 +227,20 @@ def test_hn_beyond_float_range_is_numerical_error():
         solve_lambda_hat(params, state, 10)
 
 
+def test_response_targets_beyond_float_range_are_numerical_errors():
+    # y = 1000: e^{c^{2k} y} overflows, which came out as a ConfigError about F^n_k's domain
+    params = ModelParams(alpha=1.0, beta=1e-3, sigma=2.0, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=3.0, price=math.exp(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="float range"):
+            solve_lambda_hat(params, state, 10)
+        with pytest.raises(NumericalError, match="float range"):
+            hn_eval(params, state, 0.0, 10)
+        with pytest.raises(NumericalError, match="float range"):
+            recover_psi(params, state, 10, 1e-3)
+
+
 def test_recover_psi_checks_stationarity(ou_params, ref_state):
     n = 64
     lam = solve_lambda_hat(ou_params, ref_state, n)

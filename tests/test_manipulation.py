@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_scan
 import reference_values as ref
-from ouexec import (ConfigError, MarketState, ModelParams, NumericalError,
+from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, RegimeError,
                     StandingAssumptionWarning, continuous, expected_proceeds, manipulation)
 from ouexec.continuous import schedule, value_block_form
 from ouexec.manipulation import l_eval, l_root, round_trip_profit_bound, scan
@@ -135,7 +138,7 @@ def test_scan_solves_every_multiplier_in_one_call(monkeypatch):
 
 
 def test_scan_bound_reads_the_schedule_trajectory(monkeypatch):
-    # one solve for all points, then one inversion per point; the bound inverts nothing
+    # one solve for all points, then one inversion per block of points; the bound inverts nothing
     solves, sizes, bound_inversions = [], [], []
     solve, inverse, bound_at = (continuous.solve_lambda_star, continuous.p_inverse,
                                 manipulation._bound_at)
@@ -146,7 +149,7 @@ def test_scan_bound_reads_the_schedule_trajectory(monkeypatch):
 
     def counted_inverse(q, alpha):
         if solves:
-            sizes.append(np.size(q))
+            sizes.append(np.shape(q))
         return inverse(q, alpha)
 
     def counted_bound(*args):
@@ -158,11 +161,15 @@ def test_scan_bound_reads_the_schedule_trajectory(monkeypatch):
     monkeypatch.setattr(continuous, "solve_lambda_star", counted_solve)
     monkeypatch.setattr(continuous, "p_inverse", counted_inverse)
     monkeypatch.setattr(manipulation, "_bound_at", counted_bound)
-    scan(_params(), _state(0.0), (1.0, 6.0), points=4, grid_points=400)
-    assert len(solves) == 1 and solves[0].shape == (4,)
-    assert bound_inversions == [0] * 4
-    assert len(sizes) == 4
-    assert all(size > 2 * 400 + 1 for size in sizes)
+    for points in (manipulation._BLOCK, manipulation._BLOCK + 3):  # one block, and two
+        for log in (solves, sizes, bound_inversions):
+            log.clear()
+        scan(_params(), _state(0.0), (1.0, 6.0), points=points, grid_points=400)
+        assert len(solves) == 1 and solves[0].shape == (points,)
+        assert bound_inversions == [0] * points
+        blocks = range(0, points, manipulation._BLOCK)
+        assert [rows for rows, _ in sizes] == [min(manipulation._BLOCK, points - b) for b in blocks]
+        assert all(samples > 2 * 400 + 1 for _, samples in sizes)  # the grid, midpoints and nodes
 
 
 @pytest.mark.parametrize("sigma,z_range", [(0.2, (0.5, 10.0)), (0.35, (0.0, 4.0)),
@@ -178,6 +185,39 @@ def test_scan_points_equal_the_single_state_path(sigma, z_range):
             assert rep.profit_bounds[i] == round_trip_profit_bound(params, st).bound
             sched = schedule(params, st, 400, extended=True)
             assert rep.verified_profits[i] == expected_proceeds(params, st, sched.strategy)
+
+
+def _scan_outcome(scan_fn, *args, **kwargs):
+    """("ok", the report's bytes) or ("raised", the error type), then the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rep = scan_fn(*args, **kwargs)
+        except (ConfigError, NumericalError, RegimeError) as exc:  # the scans must fail alike
+            outcome = ("raised", type(exc))
+        else:
+            outcome = ("ok", [a.tobytes() for a in (rep.z_values, rep.l_values, rep.profit_bounds,
+                                                    rep.verified_profits)],
+                       repr(rep.first_profitable_z))
+    return outcome, sorted((w.category.__name__, str(w.message)) for w in caught)
+
+
+@settings(max_examples=40)
+@given(sigma=st.one_of(st.just(0.0), st.floats(0.05, 0.8)),
+       alpha=st.floats(0.3, 3.0), beta=st.floats(0.2, 5.0), horizon=st.floats(0.2, 1.0),
+       lo=st.floats(-1.5, 2.0), width=st.floats(0.3, 6.0),
+       points=st.integers(2, 3 * manipulation._BLOCK + 1), grid=st.integers(1, 400))
+@example(sigma=0.0, alpha=1.0, beta=1.0, horizon=1.0, lo=-1.0, width=4.0,
+         points=manipulation._BLOCK + 1, grid=1)
+@example(sigma=0.2, alpha=1.0, beta=1.0, horizon=1.0, lo=0.0, width=10.0,
+         points=2 * manipulation._BLOCK, grid=400)
+def test_scan_matches_the_per_point_loop(sigma, alpha, beta, horizon, lo, width, points, grid):
+    # the blocked scan gives every output the bytes of one schedule per point
+    params = ModelParams(alpha=alpha, beta=beta, sigma=sigma, fundamental_log=0.3,
+                         horizon=horizon)
+    args = (params, MarketState(cash=0.5, holdings=0.0, price=1.0), (lo, lo + width))
+    want = _scan_outcome(reference_scan.scan, *args, points=points, grid_points=grid)
+    assert _scan_outcome(scan, *args, points=points, grid_points=grid) == want
 
 
 @pytest.mark.parametrize("z_range", [(0.5, 800.0), (0.5, math.inf), (-math.inf, 1.0)])
@@ -201,3 +241,5 @@ def test_large_y_bound_is_a_numerical_error(sigma):
         warnings.simplefilter("ignore", StandingAssumptionWarning)
         with pytest.raises(NumericalError, match="float range"):
             round_trip_profit_bound(params, _state(1.0))
+        with pytest.raises(NumericalError, match="float range"):
+            scan(params, _state(0.0), (0.5, 3.0), points=manipulation._BLOCK + 1)
