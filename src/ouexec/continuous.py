@@ -126,30 +126,26 @@ def _panels(params: ModelParams) -> int:
     return max(panels, 8)
 
 
-def _trajectory(params: ModelParams, lam, panels: int, times=()) -> _Trajectory:
-    """xi*_r at lam on the `panels` pinned panels and at the times; one inversion covers both.
+def _trajectory(params: ModelParams, lams, panels: int, times=()) -> _Trajectory:
+    """xi*_r on the `panels` pinned panels and at the times, a row per multiplier of lams.
 
-    An array of multipliers gives xi* a row per multiplier and j a list,
-    an entry per row.
+    One inversion covers every row, node and time; j has an entry per row,
+    each row's own 1-D dot, summed as for that row alone (a matrix product
+    may sum in another order), so every row has the bits of its multiplier's
+    alone.
     """
     a = params.alpha
     nodes, weights = panel_nodes(0.0, params.horizon, panels, 16)
     decay2 = np.exp(-2.0 * params.beta * np.concatenate([nodes, np.asarray(times, dtype=float)]))
-    xi = p_inverse(np.exp(-decay2 * params.y) * np.asarray(lam, dtype=float)[..., None] / a, a)
+    xi = p_inverse(np.exp(-decay2 * params.y) * np.asarray(lams, dtype=float)[:, None] / a, a)
     k = nodes.size
-    return _Trajectory(weights, decay2[:k], xi[..., :k], decay2[k:], xi[..., k:],
-                       _dot_rows(weights, xi[..., :k]))
+    return _Trajectory(weights, decay2[:k], xi[:, :k], decay2[k:], xi[:, k:],
+                       [float(np.dot(weights, row)) for row in xi[:, :k]])
 
 
-def _dot_rows(weights: np.ndarray, rows: np.ndarray):
-    """np.dot(weights, row) for each row of a 2-D rows, as a list; a float for a 1-D rows.
-
-    Each row is its own 1-D dot, summed as for that row alone; a matrix
-    product may sum in another order.
-    """
-    if rows.ndim == 1:
-        return float(np.dot(weights, rows))
-    return [float(np.dot(weights, row)) for row in rows]
+def _row(tr: _Trajectory, k: int) -> _Trajectory:
+    """Row k of tr: the trajectory of its k-th multiplier."""
+    return tr._replace(node_xi=tr.node_xi[k], xi=tr.xi[k], j=tr.j[k])
 
 
 def _as_list(state: MarketState | Sequence[MarketState]) -> tuple[list[MarketState], bool]:
@@ -200,7 +196,7 @@ def _log_e_with_slope(params: ModelParams, states: list[MarketState], lam,
     for st, j in zip(states, tr.j):
         d = derive(params, st)
         log_e.append(math.log(a) + a * b * j - a * st.holdings + d.z - d.y)
-    return log_e, [-b * v for v in _dot_rows(tr.weights, w / (1.0 + w))]
+    return log_e, [-b * float(np.dot(tr.weights, row)) for row in w / (1.0 + w)]
 
 
 def solve_lambda_star(params: ModelParams, state: MarketState | Sequence[MarketState],
@@ -226,13 +222,9 @@ def solve_lambda_star(params: ModelParams, state: MarketState | Sequence[MarketS
                 raise RegimeError(
                     f"closed form requires phi > max(z, 1+beta)/alpha; regime is {regime.value}")
     panels = panels or _panels(params)
-
-    def log_e(lam, live=None):
-        if live is None:  # log E(0) of every state
-            return _log_e_with_slope(params, states, np.full(len(states), lam), panels)
-        return _log_e_with_slope(params, [states[i] for i in live], lam, panels)
-
-    lam = np.atleast_1d(solve_multiplier(log_e))
+    lam = solve_multiplier(
+        lambda lams, live: _log_e_with_slope(params, [states[i] for i in live], lams, panels),
+        len(states))
     resid = np.abs(h_eval(params, states, lam, panels))
     for r, lm in zip(resid.tolist(), lam.tolist()):
         if not r <= tol * max(lm, FLOAT_TINY):
@@ -285,7 +277,7 @@ def value(params: ModelParams, state: MarketState, tol: float = 1e-10) -> float:
                 "gap-regime fallback: the stationary allocation leaves the "
                 "admissible set; no value available")
         return discrete.discrete_value(params, state, psi, n)
-    return _schedule(params, state, 1, tol)[0].value  # the value needs no finer grid
+    return schedule(params, state, 1, tol).value  # the value needs no finer grid
 
 
 def _value_block(params: ModelParams, state: MarketState, tr: _Trajectory, p_star: float,
@@ -310,7 +302,7 @@ def value_block_form(params: ModelParams, state: MarketState, lam: float, p_star
     the non-martingale drift correction enters through an integral of
     xi* e^{-alpha eta*}, taken on the pinned nodes of the multiplier solve.
     """
-    tr = _trajectory(params, lam, _panels(params), [params.horizon])
+    tr = _row(_trajectory(params, [lam], _panels(params), [params.horizon]), 0)
     return _value_block(params, state, tr, p_star, q_star, float(tr.xi[0]))
 
 
@@ -323,13 +315,14 @@ def value_flow_form(params: ModelParams, state: MarketState, lam: float) -> floa
     """
     d = derive(params, state)
     a, b = params.alpha, params.beta
-    tr = _trajectory(params, lam, _panels(params))
+    tr = _row(_trajectory(params, [lam], _panels(params)), 0)
     grad = float(np.dot(tr.weights, tr.node_xi * np.exp(
         params.fundamental_log - a * tr.node_xi + (1.0 + tr.node_decay2) * d.y)))
     v = (state.price / a) * (1.0 - math.exp(-a * state.holdings + a * b * tr.j))
     return state.cash + v + b * grad
 
 
+@float_range("the schedule")
 def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
              tol: float = 1e-10, extended: bool = False) -> ContinuousSchedule:
     """Full optimal schedule for the current regime.
@@ -342,13 +335,6 @@ def schedule(params: ModelParams, state: MarketState, grid_points: int = 1000,
     optimality guarantees.
     """
     check_positive("tol", tol)
-    return _schedule(params, state, grid_points, tol, extended)[0]
-
-
-@float_range("the schedule")
-def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: float = 1e-10,
-              extended: bool = False) -> tuple[ContinuousSchedule, _Trajectory | None]:
-    """schedule() and the solved multiplier's trajectory."""
     check_int("grid_points", grid_points, 1)
     d = derive(params, state)
     a, b, t = params.alpha, params.beta, params.horizon
@@ -360,8 +346,7 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
             f"z = {d.z:.6g} <= 2y = {2.0 * d.y:.6g}: the standard schedule "
             "is only optimal under z > 2y (extended=True evaluates the "
             "formulas anyway, without optimality claims)")
-    times, samples = _sample_times(t, grid_points)
-    tr = None
+    times = np.linspace(0.0, t, grid_points + 1)
 
     if regime is Regime.ZERO_VOL and not extended:
         zv = zero_vol.solve(params, state)
@@ -391,62 +376,37 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
     else:
         panels = _panels(params)
         lam = solve_lambda_star(params, state, tol=tol, extended=extended, panels=panels)
-        tr = _trajectory(params, lam, panels, samples)
-        n = times.size
-        xi, decay2 = tr.xi[:n], tr.decay2[:n]
-        p_star, q_star, zeta, mid_zeta = _blocks_and_rate(params, d.z, phi, tr, n)
-        p_star, q_star = float(p_star), float(q_star)
+        (p_star, q_star, zeta, strategy, tr), = _closed_form(params, [state], [lam], panels,
+                                                              times, extended)
+        xi, decay2 = tr.xi[:times.size], tr.decay2[:times.size]
         eta = xi - (1.0 + decay2) * d.y / a + d.z / a
         price = math.exp(params.fundamental_log + d.y) * np.exp(decay2 * d.y - a * xi)
         dens_int = float(np.dot(tr.weights, _zeta(params, tr.node_xi, tr.node_decay2)))
-        strategy = assemble_optimal(p_star, mid_zeta, q_star, t, extended_mode=extended)
         val = _value_block(params, state, tr, p_star, q_star, float(xi[-1]))
     return ContinuousSchedule(
         regime=regime, lambda_star=lam, p_star=p_star, q_star=q_star,
         times=times, xi=xi, eta=eta, zeta=zeta, expected_price=price,
-        density_integral=dens_int, value=val, strategy=strategy, extended=extended), tr
-
-
-def _sample_times(horizon: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The strategy grid over [0, horizon], and xi*'s sample times: the grid, then the midpoints."""
-    times = np.linspace(0.0, horizon, grid_points + 1)
-    return times, np.append(times, 0.5 * (times[:-1] + times[1:]))
-
-
-def _blocks_and_rate(params: ModelParams, z, phi, tr: _Trajectory, n: int):
-    """p*, q*, and zeta* on the n grid times and at the cell midpoints, from tr at _sample_times.
-
-    One state gives z and phi as floats and tr a 1-D xi. States with a row
-    of xi each give z and phi an entry per row, and every row gets the
-    floats its state gives alone.
-    """
-    a, b, y = params.alpha, params.beta, params.y
-    zeta, mid_zeta = np.split(_zeta(params, tr.xi, tr.decay2), [n], axis=-1)
-    p_star = tr.xi[..., 0] + (z - 2.0 * y) / a
-    q_star = (phi - b * np.asarray(tr.j) - tr.xi[..., n - 1] - z / a
-              + y * (1.0 + math.exp(-2.0 * b * params.horizon)) / a)
-    return p_star, q_star, zeta, mid_zeta
+        density_integral=dens_int, value=val, strategy=strategy, extended=extended)
 
 
 @float_range("the schedule")
-def _extended_strategies(params: ModelParams, states: list[MarketState], lams: np.ndarray,
-                         panels: int,
-                         grid_points: int) -> list[tuple[ExecutionStrategy, _Trajectory]]:
-    """Each state's extended-schedule strategy at its multiplier, with its own xi* trajectory.
+def _closed_form(params: ModelParams, states: list[MarketState], lams, panels: int,
+                 times: np.ndarray, extended: bool) -> list[tuple]:
+    """Each state's (p*, q*, zeta* on the grid, strategy, trajectory) at its multiplier.
 
     lams holds the multipliers solve_lambda_star gives the states on the
-    pin `panels`. One inversion on a row per state gives every schedule,
-    and each strategy and trajectory carries the bits of that state's
-    _schedule(params, state, grid_points, extended=True).
+    pin `panels`, and times the uniform strategy grid over [0, t]. One xi*
+    inversion, with a row per state, on the grid and the cell midpoints at
+    which the strategy samples the rate, gives them all; each state's
+    carry the bits of its own schedule.
     """
-    check_int("grid_points", grid_points, 1)
-    for st in states:
-        classify(params, st)  # the standing-assumption warning of each state's schedule
-    times, samples = _sample_times(params.horizon, grid_points)
-    tr = _trajectory(params, lams, panels, samples)
+    a, b, y, t = params.alpha, params.beta, params.y, params.horizon
+    n = times.size
+    tr = _trajectory(params, lams, panels, np.append(times, 0.5 * (times[:-1] + times[1:])))
     z = np.array([derive(params, st).z for st in states])
-    phi = np.array([st.holdings for st in states])
-    p_star, q_star, _, mid_zeta = _blocks_and_rate(params, z, phi, tr, times.size)
-    return [(assemble_optimal(p, mid_zeta[k], q, params.horizon, extended_mode=True),
-             tr._replace(node_xi=tr.node_xi[k], xi=tr.xi[k], j=tr.j[k]))
-            for k, (p, q) in enumerate(zip(p_star.tolist(), q_star.tolist()))]
+    zeta, mid_zeta = np.split(_zeta(params, tr.xi, tr.decay2), [n], axis=1)
+    p_star = tr.xi[:, 0] + (z - 2.0 * y) / a
+    q_star = (np.array([st.holdings for st in states]) - b * np.array(tr.j) - tr.xi[:, n - 1]
+              - z / a + y * (1.0 + math.exp(-2.0 * b * t)) / a)
+    return [(p, q, zeta[k], assemble_optimal(p, mid_zeta[k], q, t, extended_mode=extended),
+             _row(tr, k)) for k, (p, q) in enumerate(zip(p_star.tolist(), q_star.tolist()))]

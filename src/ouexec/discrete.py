@@ -263,7 +263,8 @@ def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
     E_n(0).
     """
     check_positive("tol", tol)
-    lam = solve_multiplier(lambda lam: _log_e_with_slope(params, state, lam, n))
+    lam = float(solve_multiplier(
+        lambda lams, live: [[v] for v in _log_e_with_slope(params, state, lams[0], n)], 1)[0])
     resid = abs(hn_eval(params, state, lam, n))
     if not resid <= tol * max(lam, FLOAT_TINY):
         raise NumericalError(f"discrete multiplier residual {resid:.3e} above {tol:.1e}")
@@ -298,7 +299,8 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float) -> 
             np.minimum(-c ** (2 * ks) * params.y - a * finv, 700.0))
         terms = 4.0 * np.finfo(float).eps * np.abs(finv) * slope
         floor = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
-    resid = np.abs(gradient(params, state, psi, n) - lam)
+    with float_range("the stationarity gradient"):
+        resid = np.abs(gradient(params, state, psi, n) - lam)
     if not np.all(resid <= 1e-8 * max(1.0, abs(lam)) + floor):
         raise NumericalError(
             f"stationarity residual {np.max(resid):.3e} above 1.0e-08 plus its "

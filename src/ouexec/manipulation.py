@@ -28,7 +28,7 @@ import numpy as np
 
 from . import continuous
 from .errors import ConfigError, check_int
-from .model import MarketState, ModelParams, derive
+from .model import MarketState, ModelParams, classify, derive
 from .numerics import LOG_FLOAT_MAX, find_root, float_range
 from .proceeds import expected_proceeds
 
@@ -60,12 +60,13 @@ def l_root(beta: float = 1.0, horizon: float = 1.0, lo: float = 1e-6,
         raise ConfigError("root not bracketed; widen [lo, hi]")
     bt = beta * horizon
 
-    def ldl(z):
+    def ldl(z, live):
+        z, = z
         slope = ((bt - 1.0 + bt * z / (1.0 + bt)) * math.exp(-bt * z / (1.0 + bt))
                  - bt * math.exp(-z - 1.0))
-        return l_eval(z, beta, horizon), slope
+        return [l_eval(z, beta, horizon)], [slope]
 
-    return find_root(ldl, lo, hi, f_lo, f_hi, xtol=1e-13)
+    return float(find_root(ldl, [lo], [hi], [f_lo], [f_hi], xtol=1e-13)[0])
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,8 @@ def round_trip_profit_bound(params: ModelParams, state: MarketState) -> RoundTri
         raise ConfigError("round trips require phi = 0")
     panels = continuous._panels(params)
     lam = continuous.solve_lambda_star(params, state, extended=True, panels=panels)
-    return _bound_at(params, state, lam, continuous._trajectory(params, lam, panels))
+    tr = continuous._trajectory(params, [lam], panels)
+    return _bound_at(params, state, lam, continuous._row(tr, 0))
 
 
 @float_range("the round-trip bound")
@@ -141,13 +143,13 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
     For each z the market price is reset to e^{F+z} with zero holdings.
     One solve_lambda_star call finds the extended multipliers of every z
     together. The extended schedules are then built _BLOCK points at a
-    time, from one xi* inversion with a row per point, so a long scan
-    never holds every point's trajectory at once; each point keeps the
-    bits of its own schedule. At each z the profit is bounded analytically
-    on that point's trajectory and verified exactly by the proceeds
-    evaluator on its strategy. first_profitable_z reports the smallest
-    scanned z certified both ways: analytic bound > 0 and verified
-    profit > 0.
+    time by schedule()'s closed-form builder, from one xi* inversion with
+    a row per point, so a long scan never holds every point's trajectory
+    at once; each point keeps the bits of its own schedule. At each z the
+    profit is bounded analytically on that point's trajectory and verified
+    exactly by the proceeds evaluator on its strategy. first_profitable_z
+    reports the smallest scanned z certified both ways: analytic bound > 0
+    and verified profit > 0.
     """
     if abs(state.holdings) > 1e-12:
         raise ConfigError("scan operates on round trips; set phi = 0")
@@ -159,11 +161,15 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
               for z in zs]
     panels = continuous._panels(params)  # xi* reads the model alone: one pin for every z
     lams = continuous.solve_lambda_star(params, states, extended=True, panels=panels)
+    check_int("grid_points", grid_points, 1)
+    times = np.linspace(0.0, params.horizon, grid_points + 1)
     for start in range(0, points, _BLOCK):
         block = slice(start, start + _BLOCK)
-        rows = continuous._extended_strategies(params, states[block], lams[block], panels,
-                                               grid_points)
-        for i, lam, (strategy, tr) in zip(range(start, points), lams[block].tolist(), rows):
+        for st in states[block]:
+            classify(params, st)  # the standing-assumption warning of each point's schedule
+        rows = continuous._closed_form(params, states[block], lams[block], panels, times,
+                                       extended=True)
+        for i, lam, (*_, strategy, tr) in zip(range(start, points), lams[block].tolist(), rows):
             bounds[i] = _bound_at(params, states[i], lam, tr).bound
             profits[i] = expected_proceeds(params, states[i], strategy) - state.cash
         del rows, strategy, tr  # the block's trajectory goes before the next block's inversion

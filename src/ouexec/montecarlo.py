@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, check_int
 from .model import MarketState, ModelParams, block_factor, derive
-from .numerics import gl_nodes
+from .numerics import float_range, gl_nodes
 from .strategy import ExecutionStrategy
 
 _ACCRUAL_ORDER = 5
@@ -46,6 +46,7 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+@float_range("the Monte Carlo estimate")
 def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrategy,
              paths: int = 100_000, steps: int = 1_000, seed: int = 0) -> SimulationReport:
     """Estimate expected terminal cash of a deterministic strategy.

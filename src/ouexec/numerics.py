@@ -10,11 +10,11 @@ whenever a step would leave the shrinking sign-change bracket.
 Both multiplier equations read lambda = E(lambda) with E positive and
 decreasing, so the root lies in [E(E(0)), E(0)]; solve_multiplier runs
 find_root on that bracket in log lambda, where the equation is nearly
-linear even when E(0) is e^80 and the root e^30. Both also take several
-brackets or equations at once (a manipulation scan's z points): each
-steps and stops on its own Python-float arithmetic, while one fdf call
-per round evaluates all that are still open, so a batch returns the
-bits of one call per bracket.
+linear even when E(0) is e^80 and the root e^30. Both take a batch of
+brackets or equations (a manipulation scan's z points, or a batch of
+one): each steps and stops on its own Python-float arithmetic, while one
+fdf call per round evaluates all that are still open, so every root has
+the bits of its bracket's batch of one.
 """
 
 from __future__ import annotations
@@ -156,15 +156,14 @@ def lambert_w0_exp(log_x):
     return float(w) if w.ndim == 0 else w
 
 
-def find_root(fdf: Callable, lo, hi, f_lo, f_hi, xtol: float):
-    """Root of f on a bracket [lo, hi] over which f changes sign, or roots on several brackets.
+def find_root(fdf: Callable, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
+    """Roots of f_i on brackets [lo_i, hi_i] over which each changes sign.
 
-    One bracket takes floats: fdf(x) returns f(x) and f'(x), and f_lo and
-    f_hi are f at the endpoints. Several take equal-length sequences:
-    fdf(x, live) gets lists of the current points x of the brackets not
-    yet settled and of their numbers `live`, and returns sequences of f
-    and f' there; the roots come back as an array. Each bracket runs the
-    same float arithmetic, and stops, as it would alone.
+    lo, hi, f_lo and f_hi are equal-length sequences, f_lo and f_hi the
+    values at the endpoints. fdf(x, live) gets lists of the current points
+    x of the brackets not yet settled and of their numbers `live`, and
+    returns sequences of f and f' there; the roots come back as an array.
+    Each bracket runs the same float arithmetic, and stops, as it would alone.
     The first point is the secant point of the bracket. Each evaluated
     point replaces the endpoint with the same sign, and the next point is
     the Newton step from it, or the bracket midpoint when that step would
@@ -175,9 +174,7 @@ def find_root(fdf: Callable, lo, hi, f_lo, f_hi, xtol: float):
     down to the noise floor of f; a Newton step that small is taken even
     when it rounds onto a bracket end, as bisecting would throw it away.
     """
-    many = np.ndim(lo) > 0
-    lo, hi, f_lo, f_hi = ([float(u) for u in v] if many else [float(v)]
-                          for v in (lo, hi, f_lo, f_hi))
+    lo, hi, f_lo, f_hi = ([float(u) for u in v] for v in (lo, hi, f_lo, f_hi))
     roots = [None] * len(lo)
     x = [0.5 * (a + b) for a, b in zip(lo, hi)]
     last = [b - a for a, b in zip(lo, hi)]
@@ -194,10 +191,7 @@ def find_root(fdf: Callable, lo, hi, f_lo, f_hi, xtol: float):
         live = [i for i, r in enumerate(roots) if r is None]
         if not live:
             break
-        if many:
-            f, df = ([float(u) for u in v] for v in fdf([x[i] for i in live], live))
-        else:
-            f, df = ([v] for v in fdf(x[0]))
+        f, df = ([float(u) for u in v] for v in fdf([x[i] for i in live], live))
         for i, fi, dfi in zip(live, f, df):
             if fi == 0.0:
                 roots[i] = x[i]
@@ -219,43 +213,34 @@ def find_root(fdf: Callable, lo, hi, f_lo, f_hi, xtol: float):
                 roots[i] = new
     if None in roots:
         raise NumericalError(f"no root to within {xtol:.1e} after 100 iterations")
-    return np.array(roots) if many else roots[0]
+    return np.array(roots)
 
 
-def solve_multiplier(log_e: Callable):
-    """Root of lambda = E(lambda) for a positive, decreasing E, or roots of several such equations.
+def solve_multiplier(log_e: Callable, count: int) -> np.ndarray:
+    """Roots of `count` equations lambda = E_i(lambda), each E_i positive and decreasing.
 
-    log_e(lam) returns log E(lam) and d log E / d log lam (<= 0). For
-    several equations, log_e(0.0) returns sequences with one entry per
-    equation, log_e(lam, live) takes a list lam for the equations whose
-    numbers are the list live, and the roots come back as an array; each
-    is the root the equation has alone. In u = log lam, find_root runs on
-    G(u) = log E(e^u) - u, whose slope is <= -1, over [lo, hi] =
+    log_e(lam, live) takes a list lam of multipliers for the equations
+    whose numbers are the list live, and returns sequences of log E_i and
+    d log E_i / d log lam (<= 0) there; the roots come back as an array,
+    each the root its equation has alone. In u = log lam, find_root runs
+    on G(u) = log E(e^u) - u, whose slope is <= -1, over [lo, hi] =
     [log E(E(0)), log E(0)]: hi is log E(0), and lo = hi + G(hi) comes
     with the evaluation at hi.
     """
-    hi = log_e(0.0)[0]
-    many = np.ndim(hi) > 0
-    hi = np.atleast_1d(hi).tolist()
+    every = list(range(count))
+    hi = [float(h) for h in log_e([0.0] * count, every)[0]]
     for h in hi:
         if not h < 700.0:
             raise NumericalError(f"multiplier bound E(0) = e^{h:.6g} is too large for float")
-    if not many:
-        one = log_e
-
-        def log_e(lam, live):
-            return ([v] for v in one(lam[0]))
 
     def g(u, live):
         # math.exp, not numpy's exp, which differs from it in the last bit on some arguments
         log_e_u, slope = log_e([math.exp(v) for v in u], live)
         return [le - v for le, v in zip(log_e_u, u)], [sl - 1.0 for sl in slope]
 
-    every = list(range(len(hi)))
     # G(hi) <= 0 <= G(lo) hold exactly; the clamps drop rounding-level misses
     g_hi = [min(v, 0.0) for v in g(hi, every)[0]]
     # e^u is 0.0 below u = -746, so no point there says more than u = -746
     lo = [max(h + gh, min(h, -746.0)) for h, gh in zip(hi, g_hi)]
     g_lo = [max(v, 0.0) for v in g(lo, every)[0]]
-    roots = [math.exp(u) for u in find_root(g, lo, hi, g_lo, g_hi, xtol=1e-15)]
-    return np.array(roots) if many else roots[0]
+    return np.array([math.exp(u) for u in find_root(g, lo, hi, g_lo, g_hi, xtol=1e-15)])

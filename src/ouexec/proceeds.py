@@ -32,7 +32,7 @@ import numpy as np
 from . import strategy as strat
 from .errors import ConfigError
 from .model import MarketState, ModelParams, block_factor, derive
-from .numerics import gl_nodes
+from .numerics import float_range, gl_nodes
 
 _TOL = 1e-12
 _ORDER = 20  # Gauss-Legendre nodes per gradual segment
@@ -132,6 +132,7 @@ def _check_admissible(state: MarketState, strategy: strat.ExecutionStrategy):
         raise ConfigError(f"strategy sells {sold}, exceeding holdings {state.holdings}")
 
 
+@float_range("the proceeds integral")
 def proceeds_breakdown(params: ModelParams, state: MarketState,
                        strategy: strat.ExecutionStrategy) -> ProceedsBreakdown:
     """Expected proceeds split into initial block / gradual / terminal block."""

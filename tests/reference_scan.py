@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from ouexec import continuous, zero_vol
-from ouexec.continuous import (ContinuousSchedule, _panels, _trajectory, _Trajectory,
+from ouexec.continuous import (ContinuousSchedule, _panels, _row, _trajectory, _Trajectory,
                                _value_block, _zeta, p_eval, solve_lambda_star)
 from ouexec.errors import ConfigError, RegimeError, check_int
 from ouexec.manipulation import ManipulationReport, _bound_at, _scan_grid, l_eval
@@ -114,7 +114,8 @@ def _schedule(params: ModelParams, state: MarketState, grid_points: int, tol: fl
         if lam is None:
             lam = solve_lambda_star(params, state, tol=tol, extended=extended, panels=panels)
         # the grid, then the cell midpoints at which the strategy samples the rate
-        tr = _trajectory(params, lam, panels, np.append(times, 0.5 * (times[:-1] + times[1:])))
+        samples = np.append(times, 0.5 * (times[:-1] + times[1:]))
+        tr = _row(_trajectory(params, [lam], panels, samples), 0)
         n = times.size
         xi, decay2 = tr.xi[:n], tr.decay2[:n]
         zeta, mid_zeta = np.split(_zeta(params, tr.xi, tr.decay2), [n])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
+import reference_scan
 import reference_values as ref
 from conftest import E, random_large_instance, random_small_instance
 from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, Regime,
@@ -155,7 +157,8 @@ def test_multiplier_residual_check_is_relative(monkeypatch):
     state = MarketState(cash=0.0, holdings=10.0, price=math.exp(1.0))
     lam = continuous.solve_lambda_star(params, state, extended=True)
     assert lam < 1e-10
-    monkeypatch.setattr(continuous, "solve_multiplier", lambda log_e: 2.0 * lam)
+    monkeypatch.setattr(continuous, "solve_multiplier",
+                        lambda log_e, count: np.full(count, 2.0 * lam))
     with pytest.raises(NumericalError, match="residual"):
         continuous.solve_lambda_star(params, state, extended=True)
 
@@ -180,8 +183,8 @@ def test_schedule_matches_reference(ou_params, ref_state):
     # zeta integrates to exactly what the blocks leave over
     assert sched.density_integral == pytest.approx(
         ref_state.holdings - ref.OU_P_STAR - ref.OU_Q_STAR, rel=1e-10)
-    tr = continuous._trajectory(ou_params, sched.lambda_star, continuous._panels(ou_params))
-    assert tr.j == pytest.approx(ref.OU_XI_INT, rel=1e-12)
+    tr = continuous._trajectory(ou_params, [sched.lambda_star], continuous._panels(ou_params))
+    assert tr.j[0] == pytest.approx(ref.OU_XI_INT, rel=1e-12)
     assert sched.zeta[0] == pytest.approx(ref.OU_ZETA0, rel=1e-11)
     assert sched.value == pytest.approx(ref.OU_VALUE, rel=1e-12)
 
@@ -291,7 +294,7 @@ def test_pinned_node_integrals_match_adaptive_quadrature(log_alpha, log_beta, si
     phi = max(z, 1.0 + b) / a * scale if large else 0.0
     state = MarketState(cash=0.0, holdings=phi, price=math.exp(z))
     lam = solve_lambda_star(params, state, extended=True)
-    tr = continuous._trajectory(params, lam, continuous._panels(params))
+    tr = continuous._row(continuous._trajectory(params, [lam], continuous._panels(params)), 0)
     w, xi, decay2 = tr.weights, tr.node_xi, tr.node_decay2
     # J, the density integral, the block-form kernel and the round-trip bound kernel
     kernels = [lambda x, d: x,
@@ -369,6 +372,25 @@ def test_value_honours_tol_in_every_regime(ou_params, phi):
     state = MarketState(cash=0.0, holdings=phi, price=E)
     with pytest.raises(NumericalError, match="residual"):
         value(ou_params, state, tol=1e-300)
+
+
+def _schedule_bytes(sched):
+    """Every field of a schedule and of its strategy: arrays as bytes, the rest as reprs."""
+    *fields, strategy, extended = dataclasses.astuple(sched)
+    return [v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for v in (*fields, *strategy, extended)]
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("grid", [1, 2, 7, 400, 1000])
+def test_schedule_matches_the_frozen_per_state_oracle(extended, grid):
+    # schedule() builds its one state through the batch builder of the scan,
+    # with the bytes of the per-state schedule the scan reference keeps
+    rng = np.random.default_rng(20 + grid)
+    for params, state in (random_large_instance(rng) for _ in range(8)):
+        want, _ = reference_scan._schedule(params, state, grid, extended=extended)
+        assert _schedule_bytes(schedule(params, state, grid, extended=extended)) == \
+            _schedule_bytes(want)
 
 
 def test_value_dispatch_matches_schedule(ou_params, zv_params, ref_state):

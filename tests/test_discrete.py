@@ -190,7 +190,8 @@ def test_multiplier_residual_check_is_relative(monkeypatch):
     state = MarketState(cash=0.0, holdings=10.0, price=math.exp(1.0))
     lam = solve_lambda_hat(params, state, 10)
     assert lam < 1e-10
-    monkeypatch.setattr(discrete, "solve_multiplier", lambda log_e: 2.0 * lam)
+    monkeypatch.setattr(discrete, "solve_multiplier",
+                        lambda log_e, count: np.full(count, 2.0 * lam))
     with pytest.raises(NumericalError, match="residual"):
         solve_lambda_hat(params, state, 10)
 
@@ -239,6 +240,17 @@ def test_response_targets_beyond_float_range_are_numerical_errors():
             hn_eval(params, state, 0.0, 10)
         with pytest.raises(NumericalError, match="float range"):
             recover_psi(params, state, 10, 1e-3)
+
+
+def test_stationarity_gradient_beyond_float_range_is_a_numerical_error():
+    # y = 500: the solve succeeds, but the stationarity check's per-period
+    # terms reach e^968, and numpy's overflow escaped from fnk_eval
+    params = ModelParams(alpha=1.0, beta=0.002, sigma=2.0, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=0.002, price=math.exp(35.0))
+    with np.errstate(over="raise"):
+        lam = solve_lambda_hat(params, state, 10)
+        with pytest.raises(NumericalError, match="float range"):
+            recover_psi(params, state, 10, lam)
 
 
 def test_recover_psi_checks_stationarity(ou_params, ref_state):

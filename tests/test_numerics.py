@@ -46,9 +46,24 @@ def test_adaptive_quad_returns_panel_count():
     assert fixed_quad(np.exp, 0.0, 1.0, panels=panels, order=16) == val
 
 
+def _root_of_one(fdf, lo, hi, f_lo, f_hi, xtol):
+    """find_root on a batch of one bracket, with f and f' from fdf(x)."""
+    roots = find_root(lambda x, live: [[v] for v in fdf(x[0])], [lo], [hi], [f_lo], [f_hi],
+                      xtol=xtol)
+    assert roots.shape == (1,)
+    return float(roots[0])
+
+
+def _multiplier_of_one(log_e):
+    """solve_multiplier on a batch of one equation, with log E and its slope from log_e(lam)."""
+    lams = solve_multiplier(lambda lam, live: [[v] for v in log_e(lam[0])], 1)
+    assert lams.shape == (1,)
+    return float(lams[0])
+
+
 def test_find_root_cube_root():
     f = lambda x: (x**3 - 2.0, 3.0 * x * x)
-    root = find_root(f, 0.0, 2.0, -2.0, 6.0, xtol=1e-15)
+    root = _root_of_one(f, 0.0, 2.0, -2.0, 6.0, xtol=1e-15)
     assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
 
 
@@ -61,7 +76,7 @@ def test_find_root_stays_in_bracket():
         seen.append(x)
         return math.tanh(x) - 0.5, 1.0 - math.tanh(x) ** 2
 
-    root = find_root(fdf, 0.0, 3.0, -0.5, math.tanh(3.0) - 0.5, xtol=1e-15)
+    root = _root_of_one(fdf, 0.0, 3.0, -0.5, math.tanh(3.0) - 0.5, xtol=1e-15)
     assert seen and all(0.0 < x < 3.0 for x in seen)
     assert 0.0 <= root <= 3.0
     assert abs(math.tanh(root) - 0.5) <= 1e-12
@@ -70,23 +85,27 @@ def test_find_root_stays_in_bracket():
 def test_find_root_decreasing_function():
     # f(lo) > 0 > f(hi): the bracket orientation comes from the signs alone
     fdf = lambda x: (1.0 - x * math.exp(x), -(1.0 + x) * math.exp(x))
-    root = find_root(fdf, 0.0, 1.0, 1.0, 1.0 - math.e, xtol=1e-15)
+    root = _root_of_one(fdf, 0.0, 1.0, 1.0, 1.0 - math.e, xtol=1e-15)
     assert root * math.exp(root) == pytest.approx(1.0, rel=1e-14)
     assert root == pytest.approx(float(lambert_w0(1.0)), rel=1e-15)
 
 
 def test_find_root_endpoint_roots_and_zero_slope():
     fdf = lambda x: (x - 1.0, 0.0)  # zero slope: bisection only
-    assert find_root(fdf, 1.0, 2.0, 0.0, 1.0, xtol=1e-12) == 1.0
-    assert find_root(fdf, 0.0, 1.0, -1.0, 0.0, xtol=1e-12) == 1.0
-    root = find_root(fdf, 0.0, 3.0, -1.0, 2.0, xtol=1e-12)
+    assert _root_of_one(fdf, 1.0, 2.0, 0.0, 1.0, xtol=1e-12) == 1.0
+    assert _root_of_one(fdf, 0.0, 1.0, -1.0, 0.0, xtol=1e-12) == 1.0
+    root = _root_of_one(fdf, 0.0, 3.0, -1.0, 2.0, xtol=1e-12)
     assert abs(root - 1.0) <= 1e-12
 
 
 def test_find_root_requires_sign_change():
     fdf = lambda x: (x * x + 1.0, 2.0 * x)
     with pytest.raises(NumericalError):
-        find_root(fdf, -1.0, 2.0, 2.0, 5.0, xtol=1e-12)
+        _root_of_one(fdf, -1.0, 2.0, 2.0, 5.0, xtol=1e-12)
+    with pytest.raises(NumericalError):  # one bracket without a sign change fails the batch
+        find_root(lambda x, live: ([v * v + 1.0 - 2.0 * (i == 0) for v, i in zip(x, live)],
+                                   [2.0 * v for v in x]),
+                  [0.0, -1.0], [2.0, 2.0], [-1.0, 2.0], [3.0, 5.0], xtol=1e-12)
 
 
 def test_find_root_stops_at_the_noise_floor():
@@ -99,16 +118,16 @@ def test_find_root_stops_at_the_noise_floor():
         seen.append(x)
         return 20.4336388081808 - x + 1e-14 * math.sin(1e15 * x), -1.0
 
-    root = find_root(fdf, -700.0, 40.0, 720.4336388081808, -19.5663611918192,
-                     xtol=1e-15)
+    root = _root_of_one(fdf, -700.0, 40.0, 720.4336388081808, -19.5663611918192,
+                        xtol=1e-15)
     assert abs(root - 20.4336388081808) <= 1e-13
     assert len(seen) <= 5
 
 
 def test_find_root_several_brackets_match_one_bracket_calls():
-    # each bracket of a batch stops on its own round with its own bits; the
-    # batch holds a steep Newton bracket, bisection-only ones (zero slope),
-    # a noisy one and both kinds of endpoint root
+    # each bracket of a batch stops on its own round with the bits of its
+    # batch of one; the batch holds a steep Newton bracket, bisection-only
+    # ones (zero slope), a noisy one and both kinds of endpoint root
     cases = [
         (lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0),
         (lambda x: (math.tanh(x) - 0.5, 1.0 - math.tanh(x) ** 2), 0.0, 3.0),
@@ -136,7 +155,8 @@ def test_find_root_several_brackets_match_one_bracket_calls():
     alone = []
     for c, a, b, fa, fb in zip(cases, lo, hi, f_lo, f_hi):
         seen = []
-        alone.append(find_root(lambda x: seen.append(x) or c[0](x), a, b, fa, fb, xtol=1e-15))
+        alone.append(_root_of_one(lambda x: seen.append(x) or c[0](x), a, b, fa, fb,
+                                  xtol=1e-15))
         assert rounds[len(alone) - 1] == len(seen)
     assert roots.tolist() == alone
     assert rounds[3] == rounds[4] == 0  # endpoint roots take no evaluation
@@ -147,12 +167,11 @@ def test_solve_multiplier_system_matches_one_solve_per_equation():
     # lambda = c e^{-lambda} for several c at once, as the scan solves its z points
     cs = np.geomspace(1e-300, 1e300, 13)
 
-    def log_e(lam, live=None):
-        c = cs if live is None else cs[live]
-        return np.log(c) - lam, -np.broadcast_to(lam, c.shape)
+    def log_e(lam, live):
+        return np.log(cs[live]) - lam, -np.asarray(lam)
 
-    lams = solve_multiplier(log_e)
-    assert lams.tolist() == [solve_multiplier(lambda lam, c=c: (math.log(c) - lam, -lam))
+    lams = solve_multiplier(log_e, cs.size)
+    assert lams.tolist() == [_multiplier_of_one(lambda lam, c=c: (math.log(c) - lam, -lam))
                              for c in cs]
 
 
@@ -230,7 +249,7 @@ def test_solve_multiplier_lambert_family(c):
         calls.append(lam)
         return math.log(c) - lam, -lam
 
-    lam = solve_multiplier(log_e)
+    lam = _multiplier_of_one(log_e)
     w = float(lambert_w0(c))
     assert lam == pytest.approx(w, rel=max(1e-14, 4.0 * math.ulp(math.log(w))))
     assert len(calls) <= 30
@@ -238,9 +257,12 @@ def test_solve_multiplier_lambert_family(c):
 
 def test_solve_multiplier_refuses_e0_beyond_range():
     with pytest.raises(NumericalError):
-        solve_multiplier(lambda lam: (700.0 - lam, -lam))
+        _multiplier_of_one(lambda lam: (700.0 - lam, -lam))
     with pytest.raises(NumericalError):
-        solve_multiplier(lambda lam: (math.nan, 0.0))
+        _multiplier_of_one(lambda lam: (math.nan, 0.0))
+    with pytest.raises(NumericalError):  # one equation beyond the range fails the batch
+        solve_multiplier(lambda lam, live: ([[0.0, 700.0][i] - v for i, v in zip(live, lam)],
+                                            [-v for v in lam]), 2)
 
 
 @settings(max_examples=60)
