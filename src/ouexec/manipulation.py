@@ -30,7 +30,7 @@ from . import continuous
 from .errors import ConfigError, check_int
 from .model import MarketState, ModelParams, classify, derive
 from .numerics import LOG_FLOAT_MAX, find_root, float_range
-from .proceeds import expected_proceeds
+from .proceeds import _sharing, expected_proceeds
 
 
 def l_eval(z, beta: float = 1.0, horizon: float = 1.0):
@@ -145,11 +145,11 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
     together. The extended schedules are then built _BLOCK points at a
     time by schedule()'s closed-form builder, from one xi* inversion with
     a row per point, so a long scan never holds every point's trajectory
-    at once; each point keeps the bits of its own schedule. At each z the
-    profit is bounded analytically on that point's trajectory and verified
-    exactly by the proceeds evaluator on its strategy. first_profitable_z
-    reports the smallest scanned z certified both ways: analytic bound > 0
-    and verified profit > 0.
+    at once. At each z the profit is bounded analytically on that point's
+    trajectory and verified exactly by the proceeds evaluator, which
+    prices every point's strategy on one segment table; each point keeps
+    its own bits. first_profitable_z reports the smallest scanned z
+    certified both ways: analytic bound > 0 and verified profit > 0.
     """
     if abs(state.holdings) > 1e-12:
         raise ConfigError("scan operates on round trips; set phi = 0")
@@ -163,16 +163,17 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
     lams = continuous.solve_lambda_star(params, states, extended=True, panels=panels)
     check_int("grid_points", grid_points, 1)
     times = np.linspace(0.0, params.horizon, grid_points + 1)
-    for start in range(0, points, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        for st in states[block]:
-            classify(params, st)  # the standing-assumption warning of each point's schedule
-        rows = continuous._closed_form(params, states[block], lams[block], panels, times,
-                                       extended=True)
-        for i, lam, (*_, strategy, tr) in zip(range(start, points), lams[block].tolist(), rows):
-            bounds[i] = _bound_at(params, states[i], lam, tr).bound
-            profits[i] = expected_proceeds(params, states[i], strategy) - state.cash
-        del rows, strategy, tr  # the block's trajectory goes before the next block's inversion
+    with _sharing():
+        for start in range(0, points, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            for st in states[block]:
+                classify(params, st)  # the standing-assumption warning of each point's schedule
+            rows = continuous._closed_form(params, states[block], lams[block], panels, times,
+                                           extended=True)
+            for i, lam, (*_, strategy, tr) in zip(range(start, points), lams[block].tolist(), rows):
+                bounds[i] = _bound_at(params, states[i], lam, tr).bound
+                profits[i] = expected_proceeds(params, states[i], strategy) - state.cash
+            del rows, strategy, tr  # the block's trajectory goes before the next block's inversion
 
     certified = np.flatnonzero((bounds > 0.0) & (profits > 0.0))
     first = float(zs[certified[0]]) if certified.size else None

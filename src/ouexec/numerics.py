@@ -119,18 +119,24 @@ def lambert_w0(x):
     l1 = np.log(x[far])
     l2 = np.log(l1)
     w[far] = l1 - l2 + l2 / l1
+    del l1, l2  # before the rounds' buffers, which hold the peak
     rows_x = x.reshape(math.prod(x.shape[:-1]), x.shape[-1] if x.ndim else 1)
     rows_w = w.reshape(rows_x.shape)  # a view: updating a row updates w
+    buffers = np.empty((4, *rows_w.shape))  # each round works in the first rows of these
     live = slice(None)  # every row, until one settles
     for _ in range(12):
         wl, xl = rows_w[live], rows_x[live]
-        f = wl - xl * np.exp(-wl)
-        wp1 = wl + 1.0
-        den = 2.0 * wp1 * wp1 - (wl + 2.0) * f
-        step = np.divide(2.0 * wp1 * f, den, out=np.zeros_like(wl), where=den != 0.0)
-        wl = np.maximum(wl - step, -1.0)
+        f, wp1, two, den = buffers[:, :len(wl)]
+        np.subtract(wl, np.multiply(xl, np.exp(np.negative(wl, out=f), out=f), out=f), out=f)
+        np.multiply(2.0, np.add(wl, 1.0, out=wp1), out=two)  # 2(w + 1), taken once
+        np.multiply(two, wp1, out=den)
+        den -= np.multiply(np.add(wl, 2.0, out=wp1), f, out=wp1)  # 2(w + 1)^2 - (w + 2) f
+        two *= f
+        step = (np.divide(two, den, out=two) if den.all()
+                else np.divide(two, den, out=np.zeros_like(wl), where=den != 0.0))
+        wl = np.maximum(np.subtract(wl, step, out=den), -1.0, out=den)
         rows_w[live] = wl
-        settled = np.abs(step) <= 1e-15 * (1.0 + np.abs(wl))
+        settled = np.abs(step, out=f) <= np.add(np.abs(wl, out=wp1), 1.0, out=wp1) * 1e-15
         if settled.all():
             break
         if len(wl) > 1:  # drop the rows whose steps have all settled

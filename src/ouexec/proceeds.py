@@ -11,20 +11,23 @@ displacement of the log price, decayed at the reversion speed.
 
 The cells, split at interior blocks, are segments of constant rate zeta_j.
 On a segment D solves D' = alpha zeta_j - beta D, so across one of length
-l_j it follows the recurrence D <- c_j D + alpha zeta_j (1 - c_j)/beta,
-c_j = e^{-beta l_j}, and a block of p adds alpha p. 1 - c_j is taken as
--expm1(-beta l_j), and the recurrence as D + (1 - c_j)(alpha zeta_j/beta - D),
-so no rounded c_j multiplies D and compounds over the segments. One pass
-gives D at every segment start and before every block; inside a segment
-D is closed form and the outer integrand smooth, so one Gauss-Legendre
-rule per segment, evaluated for all segments in one array expression, is
-exact to machine accuracy for practical grids. Price
-samples and the impact profile read D from the same segment table.
+l_j it follows D <- D + (1 - c_j)(alpha zeta_j/beta - D), c_j = e^{-beta l_j},
+with 1 - c_j as -expm1(-beta l_j) so that no rounded c_j multiplies D and
+compounds; a block of p adds alpha p. Inside a segment D is closed form and
+the integrand smooth, so one Gauss-Legendre rule per segment, for all
+segments in one array expression, is exact to machine accuracy on practical
+grids. A segment table holds what beta, the grid and the impulse times set,
+one per key in a _sharing block (a manipulation scan); each strategy adds its
+recurrence, block prices and node sum in its own float order, and its price
+samples and impact profile read D from the same table.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ from .numerics import float_range, gl_nodes
 
 _TOL = 1e-12
 _ORDER = 20  # Gauss-Legendre nodes per gradual segment
+_SHARED: ContextVar[dict] = ContextVar("shared_tables")  # the tables of a _sharing block
 
 
 @dataclass(frozen=True)
@@ -48,51 +52,77 @@ class ProceedsBreakdown:
     total: float
 
 
-def _impact_path(params: ModelParams, strategy: strat.ExecutionStrategy):
-    """Segment table of the impact displacement D.
+@contextlib.contextmanager
+def _sharing():
+    """Let the evaluations in the block share segment tables by key; none outlives it."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
-    A block applies at time 0 or at a cell edge within _TOL of it, or
-    together with an earlier block within _TOL before it; otherwise it
-    splits its cell. Returns the event times (segment starts, then the
-    horizon), the rate on each segment, D after the blocks at each event
-    and D just before each block.
-    """
+
+class _Table:
+    """The part of an evaluation that beta, the grid and the impulse times set.
+
+    A block applies at time 0 or at a cell edge within _TOL of it, or with an
+    earlier block within _TOL before it; otherwise it splits its cell. A row
+    per event (segment starts, then the horizon) after a zero-length row per
+    block there has a relax factor and a cell to take its rate from (for a
+    block or the horizon, a zero past the last cell)."""
+
+    def __init__(self, beta: float, strategy: strat.ExecutionStrategy):
+        self.beta = beta
+        edges = np.arange(strategy.cells + 1) * strategy.cell_width
+        edges[-1] = strategy.horizon
+        ends = edges[1:] + _TOL
+        anchors, splits, anchor = [], [], 0.0
+        for r, _ in strategy.impulses:
+            if r > anchor + _TOL:
+                b = float(edges[np.searchsorted(ends, r) + 1])
+                if r < b - _TOL:
+                    anchor = r
+                    splits.append(r)
+                else:
+                    anchor = b
+            anchors.append(anchor)
+        cut = np.searchsorted(edges, splits)
+        self.events = np.insert(edges, cut, splits)
+        ev = np.searchsorted(self.events, anchors)
+        self.block = np.zeros(self.events.size + ev.size, dtype=bool)
+        self.block[ev + np.arange(ev.size)] = True  # block k goes before event ev[k]
+        self.row_cell = np.full(self.block.size, strategy.cells)
+        self.row_cell[~self.block] = np.insert(np.arange(strategy.cells + 1), cut, cut - 1)
+        length = np.zeros(self.block.size)
+        length[~self.block] = np.append(np.diff(self.events), 0.0)
+        self.relax = [-e / beta for e in map(math.expm1, (-beta * length).tolist())]
+
+    @functools.cached_property
+    def nodes(self):
+        """Each segment's half length and its nodes' e^u, expm1(u), e^{-beta r}, e^{-2 beta r}."""
+        half, x = 0.5 * np.diff(self.events), gl_nodes(_ORDER)[0] + 1.0
+        u = (-self.beta * half)[:, None] * x
+        r = self.events[:-1][:, None] + half[:, None] * x
+        return half, np.exp(u), np.expm1(u), *_decays(self.beta, r)
+
+
+def _impact_path(params: ModelParams, strategy: strat.ExecutionStrategy):
+    """The segment table, segment rates, D after each event's blocks and D before each block."""
     alpha, beta = params.alpha, params.beta
-    edges = np.arange(strategy.cells + 1) * strategy.cell_width
-    edges[-1] = strategy.horizon
-    ends = edges[1:] + _TOL
-    anchors, splits, anchor = [], [], 0.0
-    for r, _ in strategy.impulses:
-        if r > anchor + _TOL:
-            b = float(edges[np.searchsorted(ends, r) + 1])
-            if r < b - _TOL:
-                anchor = r
-                splits.append(r)
-            else:
-                anchor = b
-        anchors.append(anchor)
-    # a split in cell i goes after edge i and takes the cell's rate
-    cut = np.searchsorted(edges, splits)
-    events = np.insert(edges, cut, splits)
-    rates = np.insert(strategy.density, cut, strategy.density[cut - 1])
-    # a row per event and, just before it, a zero-length row per block there
-    ev = np.searchsorted(events, anchors)
-    is_block = np.zeros(events.size + ev.size, dtype=bool)
-    is_block[ev + np.arange(ev.size)] = True  # block k goes before event ev[k]
-    length, rate, jump = np.zeros((3, is_block.size))
-    length[~is_block] = np.append(np.diff(events), 0.0)
-    rate[~is_block] = np.append(rates, 0.0)
-    jump[is_block] = [alpha * p for _, p in strategy.impulses]
-    # the recurrence's per-segment factors, taken before the loop that needs D
+    shared = _SHARED.get({})  # a table per key, for the _sharing block or for this call
+    key = (beta, strategy.cells, strategy.horizon, tuple(r for r, _ in strategy.impulses))
+    table = shared[key] = shared.get(key) or _Table(beta, strategy)
+    rate = np.append(strategy.density, 0.0)[table.row_cell]
+    jump = np.zeros(rate.size)
+    jump[table.block] = [alpha * p for _, p in strategy.impulses]
     push = (alpha * rate).tolist()
-    relax = [-e / beta for e in map(math.expm1, (-beta * length).tolist())]
     before, d = [], 0.0
-    for p, f, j in zip(push, relax, jump.tolist()):
+    for p, f, j in zip(push, table.relax, jump.tolist()):
         before.append(d)
         d += j
         d += (p - beta * d) * f
     before = np.array(before)
-    return events, rates, before[~is_block], before[is_block]
+    return table, rate[~table.block][:-1], before[~table.block], before[table.block]
 
 
 def _impact_at(params: ModelParams, path, times: np.ndarray) -> np.ndarray:
@@ -102,7 +132,8 @@ def _impact_at(params: ModelParams, path, times: np.ndarray) -> np.ndarray:
     rate of the segment ending there.
     """
     alpha, beta = params.alpha, params.beta
-    events, rates, d_events, _ = path
+    table, rates, d_events, _ = path
+    events = table.events
     k = np.searchsorted(events + _TOL, times)
     at = np.where(times > events[k] - _TOL, k, np.maximum(k - 1, 0))
     rate = np.append(0.0, rates)[k]
@@ -110,12 +141,14 @@ def _impact_at(params: ModelParams, path, times: np.ndarray) -> np.ndarray:
     return d_events[at] * np.exp(x) - alpha * rate * np.expm1(x) / beta
 
 
-def _expected_price(params: ModelParams, state: MarketState, r, d):
-    """E[S_r] = e^{F+y} exp(e^{-beta r} z - e^{-2 beta r} y - D_r) at displacement d."""
+def _decays(beta: float, r):  # e^{-beta r} and e^{-2 beta r}
+    return np.exp(-beta * r), np.exp(-2.0 * beta * r)
+
+
+def _expected_price(params: ModelParams, state: MarketState, decay, decay2, d):
+    """E[S_r] = e^{F+y} exp(e^{-beta r} z - e^{-2 beta r} y - D_r) from r's decays."""
     q = derive(params, state)
-    beta = params.beta
-    return math.exp(params.fundamental_log + q.y) * np.exp(
-        np.exp(-beta * r) * q.z - np.exp(-2.0 * beta * r) * q.y - d)
+    return math.exp(params.fundamental_log + q.y) * np.exp(decay * q.z - decay2 * q.y - d)
 
 
 def _check_times(times, horizon: float) -> np.ndarray:
@@ -126,39 +159,29 @@ def _check_times(times, horizon: float) -> np.ndarray:
     return times
 
 
-def _check_admissible(state: MarketState, strategy: strat.ExecutionStrategy):
-    sold = strat.total_sold(strategy)
-    if sold > state.holdings + 1e-9 * max(1.0, abs(state.holdings)):
-        raise ConfigError(f"strategy sells {sold}, exceeding holdings {state.holdings}")
-
-
 @float_range("the proceeds integral")
 def proceeds_breakdown(params: ModelParams, state: MarketState,
                        strategy: strat.ExecutionStrategy) -> ProceedsBreakdown:
     """Expected proceeds split into initial block / gradual / terminal block."""
-    _check_admissible(state, strategy)
+    sold = strat.total_sold(strategy)
+    if sold > state.holdings + 1e-9 * max(1.0, abs(state.holdings)):
+        raise ConfigError(f"strategy sells {sold}, exceeding holdings {state.holdings}")
     alpha, beta, t = params.alpha, params.beta, strategy.horizon
-    events, rates, d_events, d_blocks = _impact_path(params, strategy)
+    table, rates, d_events, d_blocks = _impact_path(params, strategy)
     parts = [0.0, 0.0, 0.0]
     r_blocks = np.array([r for r, _ in strategy.impulses])
-    prices = _expected_price(params, state, r_blocks, d_blocks).tolist()
+    prices = _expected_price(params, state, *_decays(beta, r_blocks), d_blocks).tolist()
     for (r, p), s in zip(strategy.impulses, prices):
         parts[0 if r <= _TOL else (2 if r >= t - _TOL else 1)] += s * block_factor(p, alpha)
     live = rates != 0.0
-    nodes, weights = gl_nodes(_ORDER)
-    x = nodes + 1.0
-    half = 0.5 * np.diff(events)[live]
-    zeta = rates[live][:, None]
-    u = (-beta * half)[:, None] * x
-    d_r = d_events[:-1][live][:, None] * np.exp(u) - alpha * zeta * np.expm1(u) / beta
-    r = events[:-1][live][:, None] + half[:, None] * x
-    parts[1] += float(np.sum(half * ((zeta * _expected_price(params, state, r, d_r)) @ weights)))
-    return ProceedsBreakdown(
-        initial_block_value=parts[0],
-        gradual_value=parts[1],
-        terminal_block_value=parts[2],
-        total=math.fsum(parts),
-    )
+    if live.any():  # a strategy that trades only in blocks needs no node arrays
+        live = slice(None) if live.all() else live  # a view of the table where every rate is live
+        half, exp_u, expm1_u, decay, decay2 = (a[live] for a in table.nodes)
+        zeta = rates[live][:, None]
+        d_r = d_events[:-1][live][:, None] * exp_u - alpha * zeta * expm1_u / beta
+        price = _expected_price(params, state, decay, decay2, d_r)
+        parts[1] += float(np.sum(half * ((zeta * price) @ gl_nodes(_ORDER)[1])))
+    return ProceedsBreakdown(*parts, total=math.fsum(parts))
 
 
 def expected_proceeds(params: ModelParams, state: MarketState,
@@ -172,7 +195,7 @@ def expected_price_path(params: ModelParams, state: MarketState,
     """E[S_r] at the given sorted times in [0, horizon]; post-block at a block's time."""
     times = _check_times(times, strategy.horizon)
     d = _impact_at(params, _impact_path(params, strategy), times)
-    return _expected_price(params, state, times, d)
+    return _expected_price(params, state, *_decays(params.beta, times), d)
 
 
 def impact_decay_profile(params: ModelParams, strategy: strat.ExecutionStrategy, r):

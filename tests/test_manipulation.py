@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import reference_scan
 import reference_values as ref
 from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, RegimeError,
-                    StandingAssumptionWarning, continuous, expected_proceeds, manipulation)
+                    StandingAssumptionWarning, continuous, expected_proceeds, manipulation,
+                    proceeds)
 from ouexec.continuous import schedule, value_block_form
 from ouexec.manipulation import l_eval, l_root, round_trip_profit_bound, scan
 
@@ -170,6 +171,26 @@ def test_scan_bound_reads_the_schedule_trajectory(monkeypatch):
         blocks = range(0, points, manipulation._BLOCK)
         assert [rows for rows, _ in sizes] == [min(manipulation._BLOCK, points - b) for b in blocks]
         assert all(samples > 2 * 400 + 1 for _, samples in sizes)  # the grid, midpoints and nodes
+
+
+def test_scan_prices_every_point_on_one_segment_table(monkeypatch):
+    # every point's strategy has blocks at 0 and t on one grid; the table goes with the scan
+    built = []
+
+    class Counted(proceeds._Table):
+        def __init__(self, *args):
+            built.append(args[1].impulses)
+            super().__init__(*args)
+
+    monkeypatch.setattr(proceeds, "_Table", Counted)
+    calls = []
+    evaluate = manipulation.expected_proceeds
+    monkeypatch.setattr(manipulation, "expected_proceeds",
+                        lambda *args: calls.append(1) or evaluate(*args))
+    scan(_params(), _state(0.0), (0.5, 10.0), points=10, grid_points=400)
+    assert len(calls) == 10 and len(built) == 1
+    assert [r for r, _ in built[0]] == [0.0, 1.0]
+    assert proceeds._SHARED.get(None) is None
 
 
 @pytest.mark.parametrize("sigma,z_range", [(0.2, (0.5, 10.0)), (0.35, (0.0, 4.0)),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_lambert
 from ouexec import (ConfigError, MarketState, ModelParams, NumericalError,
                     continuous, discrete)
 from ouexec.numerics import (adaptive_quad, find_root, fixed_quad,
@@ -216,6 +217,29 @@ def test_lambert_w0_rows_keep_their_bits(rows):
         assert batch.shape == x.shape
         assert batch.tobytes() == np.array([lambert_w0(row) for row in x]).tobytes()
         assert lambert_w0(x[None]).tobytes() == batch.tobytes()
+
+
+@settings(max_examples=100)
+@given(x=st.one_of(
+    _W0_ARGUMENTS,
+    st.lists(_W0_ARGUMENTS, min_size=1, max_size=300),
+    st.integers(1, 300).flatmap(lambda width: st.lists(
+        st.lists(_W0_ARGUMENTS, min_size=width, max_size=width), min_size=1, max_size=10))))
+def test_lambert_w0_buffers_keep_the_bits_of_the_fresh_array_loop(x):
+    # the Halley rounds in reused buffers run the arithmetic of the loop that allocated anew
+    x = np.array(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = np.asarray(reference_lambert.lambert_w0(x))
+        assert np.asarray(lambert_w0(x)).tobytes() == want.tobytes()
+
+
+def test_lambert_w0_zero_denominator_keeps_the_masked_step():
+    # at the branch point 2(w + 1)^2 - (w + 2) f is 0, and the step there is 0
+    x = np.array([[-math.exp(-1.0), 1.0, 50.0], [0.5, -math.exp(-1.0), -0.3]])
+    want = reference_lambert.lambert_w0(x)
+    assert lambert_w0(x).tobytes() == want.tobytes()
+    assert want[0, 0] == want[1, 1] == -1.0
 
 
 @settings(max_examples=200)

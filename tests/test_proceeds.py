@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 import reference_proceeds
 import reference_values as ref
-from ouexec import (ConfigError, MarketState, ModelParams, continuous, expected_proceeds,
-                    proceeds_breakdown)
+from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, continuous,
+                    expected_proceeds, proceeds, proceeds_breakdown)
 from ouexec.proceeds import expected_price_path, impact_decay_profile
 from ouexec.strategy import ExecutionStrategy, assemble_optimal, initial_block
 
@@ -273,3 +273,73 @@ def test_schedules_match_the_cell_loop(extended, grid):
         state = MarketState(cash=0.0, holdings=3.0, price=math.e)
         strat = continuous.schedule(params, state, grid_points=grid).strategy
     _check_against_reference(params, state, strat, np.linspace(0.0, 1.0, 9))
+
+
+def _evaluation_bytes(evaluator, params, state, strat, times):
+    """The bytes of the four breakdown fields, the price path and the impact profile."""
+    breakdown, price_path, decay_profile = evaluator
+    b = breakdown(params, state, strat)
+    fields = (b.initial_block_value, b.gradual_value, b.terminal_block_value, b.total)
+    return ([np.float64(v).tobytes() for v in fields],
+            price_path(params, state, strat, times).tobytes(),
+            np.atleast_1d(decay_profile(params, strat, times)).tobytes())
+
+
+_PACKAGE = (proceeds_breakdown, expected_price_path, impact_decay_profile)
+_ONE_TABLE_PER_CALL = (reference_proceeds.breakdown, reference_proceeds.price_path,
+                       reference_proceeds.decay_profile)
+
+
+@settings(max_examples=300)
+@given(case=_timelines())
+def test_shared_tables_keep_the_bytes_of_one_table_per_call(case):
+    # a twin on the same grid with the same impulse times has the same table key
+    params, state, strat, times = case
+    twin = ExecutionStrategy(impulses=tuple((r, 0.5 - p) for r, p in strat.impulses),
+                             density=strat.density[::-1] * 0.5, horizon=strat.horizon,
+                             extended_mode=True)
+    want = [_evaluation_bytes(_ONE_TABLE_PER_CALL, params, state, s, times)
+            for s in (strat, twin)]
+    assert [_evaluation_bytes(_PACKAGE, params, state, s, times) for s in (strat, twin)] == want
+    with proceeds._sharing():
+        got = [_evaluation_bytes(_PACKAGE, params, state, s, times) for s in (strat, twin, strat)]
+    assert got == want + want[:1]
+
+
+def test_sharing_scope_keys_tables_by_impulse_times(monkeypatch):
+    # A, B, A in one scope: B (p* = 0, no initial block) gets its own table, A reuses its own
+    built = []
+
+    class Counted(proceeds._Table):
+        def __init__(self, *args):
+            built.append(args[1].impulses)
+            super().__init__(*args)
+
+    params = _params(sigma=0.3)
+    state = MarketState(cash=0.0, holdings=0.0, price=math.exp(2.5))
+    a = continuous.schedule(params, state, grid_points=400, extended=True).strategy
+    assert [r for r, _ in a.impulses] == [0.0, 1.0]
+    b = assemble_optimal(0.0, a.density, a.impulses[1][1], 1.0, extended_mode=True)
+    wide = MarketState(cash=0.0, holdings=1e6, price=state.price)  # B alone oversells a flat book
+    times = np.linspace(0.0, 1.0, 9)
+    want = [_evaluation_bytes(_PACKAGE, params, wide, s, times) for s in (a, b)]
+    monkeypatch.setattr(proceeds, "_Table", Counted)
+    with proceeds._sharing():
+        got = [_evaluation_bytes(_PACKAGE, params, wide, s, times) for s in (a, b, a)]
+        assert len(proceeds._SHARED.get()) == 2
+    assert got == want + want[:1]
+    assert built == [a.impulses, b.impulses]
+    assert proceeds._SHARED.get(None) is None
+
+
+def test_sharing_scope_ends_when_its_body_raises():
+    # y = 1000: e^{F+y} overflows, and the scope's tables go with the error
+    params = ModelParams(alpha=1.0, beta=1e-3, sigma=2.0, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=1.0, price=1.0)
+    with pytest.raises(NumericalError, match="float range"):
+        with proceeds._sharing():
+            proceeds_breakdown(_params(), state, initial_block(1.0, cells=8))
+            assert len(proceeds._SHARED.get()) == 1
+            proceeds_breakdown(params, state, initial_block(1.0, cells=8))
+    assert proceeds._SHARED.get(None) is None
+    assert proceeds_breakdown(_params(), state, initial_block(1.0, cells=8)).total > 0.0
