@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,24 +65,36 @@ def objective(params: ModelParams, state: MarketState, x, n: int) -> float:
     legs always dominate the sales they finance) comes out as -inf instead
     of an overflow error.
     """
-    m, c, x, acc = _impact(params, x, n)
+    return float(_objectives(params, state, [np.asarray(x, dtype=float)], n)[0])
+
+
+def _objectives(params: ModelParams, state: MarketState, xs, n: int) -> np.ndarray:
+    """objective() of every row of xs; each row's value is the one it has alone."""
+    m, c, xs, acc = _impact(params, xs, n)
     d = derive(params, state)
     a, y = params.alpha, params.y
     ck = c ** np.arange(m)
     expo = ck * d.z - ck * ck * y - a * acc
-    u = -a * x  # term sign and magnitude come from -expm1(u)
-    if np.max(expo) <= 700.0 and np.max(u) <= 700.0:
-        return math.fsum(math.exp(expo[k]) * (-math.expm1(u[k])) for k in range(m))
-    # scale by the dominant term so only the sign of the blow-up matters
-    lmag = np.where(u > 36.0,
-                    u,
-                    np.log(np.abs(np.expm1(np.minimum(u, 36.0))) + 1e-300))
-    mag = expo + lmag
-    top = float(np.max(mag))
-    w = float(np.sum(np.sign(-u) * np.exp(np.maximum(mag - top, -745.0))))
-    if top > 709.0:
-        return math.inf * w if w != 0.0 else 0.0
-    return w * math.exp(top)
+    u = -a * xs  # term sign and magnitude come from -expm1(u)
+    direct = (np.max(expo, axis=1) <= 700.0) & (np.max(u, axis=1) <= 700.0)
+    out = np.empty(len(xs))
+    for r, (e, v) in enumerate(zip(expo, u)):
+        if direct[r]:
+            out[r] = math.fsum([math.exp(ek) * (-math.expm1(vk))
+                                for ek, vk in zip(e.tolist(), v.tolist())])
+            continue
+        # scale by the dominant term so only the sign of the blow-up matters
+        lmag = np.where(v > 36.0,
+                        v,
+                        np.log(np.abs(np.expm1(np.minimum(v, 36.0))) + 1e-300))
+        mag = e + lmag
+        top = float(np.max(mag))
+        w = float(np.sum(np.sign(-v) * np.exp(np.maximum(mag - top, -745.0))))
+        if top > 709.0:
+            out[r] = math.inf * w if w != 0.0 else 0.0
+        else:
+            out[r] = w * math.exp(top)
+    return out
 
 
 def discrete_value(params: ModelParams, state: MarketState, x, n: int) -> float:
@@ -94,7 +107,7 @@ def discrete_value(params: ModelParams, state: MarketState, x, n: int) -> float:
 
 def gradient(params: ModelParams, state: MarketState, x, n: int) -> np.ndarray:
     """Partial derivatives of objective(); all equal the multiplier at an optimum."""
-    m, c, x, acc = _impact(params, x, n)
+    m, c, (x,), (acc,) = _impact(params, [np.asarray(x, dtype=float)], n)
     d = derive(params, state)
     a, y = params.alpha, params.y
     s_k = acc + x  # impact level right after the period-k sale
@@ -109,18 +122,15 @@ def gradient(params: ModelParams, state: MarketState, x, n: int) -> np.ndarray:
     return grad
 
 
-def _impact(params: ModelParams, x, n: int):
-    """m, c, the allocation as an array, and A_k just before each trade k."""
+def _impact(params: ModelParams, xs, n: int):
+    """m, c, the allocations (one per row) as an array, and A_k just before each trade k."""
     m, c = periods(params, n)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m,):
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != m:
         raise ConfigError(f"allocation must have {m} entries for n={n}")
-    acc = np.empty(m)
-    run = 0.0
-    for k in range(m):
-        acc[k] = run
-        run = c * (run + x[k])
-    return m, c, x, acc
+    acc = [list(accumulate(row[:-1], lambda run, xk: c * (run + xk), initial=0.0))
+           for row in xs.tolist()]
+    return m, c, xs, np.array(acc).reshape(xs.shape)
 
 
 def _one_minus_c(params: ModelParams, n: int) -> float:
@@ -308,53 +318,96 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float) -> 
     return psi
 
 
+def _prefix_tree(m: int, count_step: np.ndarray, gain: np.ndarray):
+    """Levels 2 .. m - 2 of the prefix tree of the first count 0, and its last period's gains.
+
+    count_step and gain hold count * step and 1 - e^{-alpha x} of the counts
+    0 .. resolution. Level 1 holds the second counts i_1 = 0 .. resolution,
+    level k the prefixes (i_1, ..., i_k) in lexicographic order; a node with
+    r counts left has r + 1 children. Per level the tree keeps the parent
+    level's widths r + 1 and first-child offsets, and the count_step and
+    gain of each node's count. The last period takes the counts left at the
+    deepest level; their gains come last.
+    """
+    resolution = len(gain) - 1
+    left = resolution - np.arange(resolution + 1)
+    levels = []
+    for _ in range(m - 3):
+        width = left + 1
+        first = np.cumsum(width) - width
+        count = np.arange(first[-1] + width[-1]) - np.repeat(first, width)
+        levels.append((width, first, count_step[count], gain[count]))
+        left = np.repeat(left, width) - count
+    return levels, gain[left]
+
+
 def _lattice_start(params: ModelParams, state: MarketState, m: int, c: float,
                    resolution: int) -> np.ndarray:
     """Best point of the lattice x = phi i / resolution, sum i = resolution.
 
     m >= 2 periods with decay factor c, as periods() returns them. The scan
-    takes one first count i_0 at a time and builds its slice as a tree of
-    count prefixes (i_0, ..., i_{k-1}) in lexicographic order. Each prefix
-    carries its partial maximand and the impact level A_k, so the factor
+    takes one first count i_0 at a time. Its slice is a suffix of the prefix
+    tree of i_0 = 0, built once: the second counts i_0 .. resolution of that
+    tree, relabelled by -i_0, and at every deeper level the nodes from the
+    first child of the slice's first node on. Each prefix carries its
+    partial maximand and the impact level A_k, so the factor
     exp(c^k z - c^{2k} y - alpha A_k) is taken once per prefix and
     1 - e^{-alpha x} once per count; the last period takes the rest. A
     point's terms are objective()'s, added left to right. A slice keeps the
     first index of its maximum, and the first slice holding the overall
     maximum wins (a later slice replaces the running best only when strictly
-    larger), so ties go to the lexicographically smallest point.
+    larger), so ties go to the lexicographically smallest point; its counts
+    are read back from its index in the tree.
     """
     d = derive(params, state)
     a, y = params.alpha, params.y
     step = state.holdings / resolution
-    count = np.arange(resolution + 1)
-    gain = -np.expm1(-a * (count * step))  # 1 - e^{-alpha x} of each count
+    count_step = np.arange(resolution + 1) * step
+    gain = -np.expm1(-a * count_step)  # 1 - e^{-alpha x} of each count
 
     def scale(ck, acc):
         return np.exp(ck * d.z - ck * ck * y - a * acc)
 
+    levels, last_gain = _prefix_tree(m, count_step, gain)
     # the first period for every slice at once: its term and A_1
     head = scale(1.0, np.zeros(resolution + 1)) * gain
-    head_acc = c * (count * step)
+    head_acc = c * count_step
     best_val = np.empty(resolution + 1)
-    best_counts = np.empty((resolution + 1, m), dtype=int)
+    best_at = np.empty(resolution + 1, dtype=int)
     for i0 in range(resolution + 1):
         total, acc = head[i0:i0 + 1], head_acc[i0:i0 + 1]
-        left, cols = np.array([resolution - i0]), [np.array([i0])]
-        ck = c
-        for _ in range(1, m - 1):
-            width = left + 1
-            parent = np.repeat(np.arange(left.size), width)
-            ik = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
-            total = total[parent] + scale(ck, acc)[parent] * gain[ik]
-            acc = c * (acc[parent] + ik * step)
-            left = left[parent] - ik
-            cols = [col[parent] for col in cols] + [ik]
-            ck *= c
-        total = total + scale(ck, acc) * gain[left]
-        j = int(np.argmax(total))
-        best_val[i0] = total[j]
-        best_counts[i0] = [col[j] for col in cols] + [left[j]]
-    return best_counts[int(np.argmax(best_val))].astype(float) * step
+        lo, hi, ck = i0, i0 + 1, c  # the slice's nodes [lo, hi) at the current level
+        if m > 2:  # level 1: the counts 0 .. resolution - i0
+            size = resolution + 1 - i0
+            total = total + scale(ck, acc) * gain[:size]
+            acc = c * (acc + count_step[:size])
+            hi, ck = None, ck * c
+        for width, first, steps, gains in levels:
+            # (total + scale gain, c (acc + step)) per child, updated in place
+            w, lo = width[lo:], first[lo]
+            part = np.repeat(scale(ck, acc), w)
+            part *= gains[lo:]
+            part += np.repeat(total, w)
+            acc = np.repeat(acc, w)
+            acc += steps[lo:]
+            acc *= c
+            total, ck = part, ck * c
+        leaf = scale(ck, acc)
+        leaf *= last_gain[lo:hi]
+        leaf += total
+        j = int(np.argmax(leaf))
+        best_val[i0], best_at[i0] = leaf[j], lo + j
+    i0 = int(np.argmax(best_val))
+    node, counts = int(best_at[i0]), []
+    for _, first, _, _ in reversed(levels):
+        parent = int(np.searchsorted(first, node, side="right")) - 1
+        counts.append(node - int(first[parent]))
+        node = parent
+    if m > 2:
+        counts.append(node - i0)
+    counts.append(i0)
+    counts = counts[::-1] + [resolution - sum(counts)]
+    return np.array(counts, dtype=float) * step
 
 
 def brute_force(params: ModelParams, state: MarketState, n: int,
@@ -362,12 +415,17 @@ def brute_force(params: ModelParams, state: MarketState, n: int,
     """Independent maximizer for small m: lattice search plus refinement.
 
     Scans the whole simplex {x >= 0, sum x = phi} at the given resolution,
-    one first-period count at a time, so its working memory is
-    O(resolution^(m-2)) rather than the O(resolution^(m-1)) of the full
-    lattice. A later slice's best replaces the running best only when it
-    is strictly larger, so ties resolve to the lexicographically smallest
-    point. Then it runs pairwise-transfer coordinate descent with a
-    halving step, for at most `sweeps` sweeps. Only feasible for m <= 4.
+    one first-period count at a time on a prefix tree built once per call,
+    so its working memory is O(resolution^(m-2)) rather than the
+    O(resolution^(m-1)) of the full lattice. A later slice's best replaces
+    the running best only when it is strictly larger, so ties resolve to
+    the lexicographically smallest point. Then it runs pairwise-transfer
+    coordinate descent with a halving step, for at most `sweeps` sweeps.
+    A sweep visits the transfers i -> j in order and takes each one that
+    improves the maximand; it prices all its remaining transfers from the
+    current point in one batched call, takes the first improving one and
+    goes on from the transfer after it, which visits and takes exactly what
+    one objective() call per transfer would. Only feasible for m <= 4.
     """
     check_int("resolution", resolution, 1)
     check_int("sweeps", sweeps, 0)
@@ -386,22 +444,27 @@ def brute_force(params: ModelParams, state: MarketState, n: int,
     x = _lattice_start(params, state, m, c, resolution)
     f_best = objective(params, state, x, n)
     step = phi / resolution
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
     for _ in range(sweeps):
-        improved = False
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                amt = min(step, x[i])
-                if amt <= 0.0:
-                    continue
-                cand = x.copy()
-                cand[i] -= amt
-                cand[j] += amt
-                f_cand = objective(params, state, cand, n)
-                if f_cand > f_best:
-                    x, f_best = cand, f_cand
-                    improved = True
+        improved, p = False, 0
+        while p < len(pairs):
+            # the sweep's remaining transfers (pair index, i, j, amount), priced at once
+            # from the current x: the first improving one is taken and the sweep goes on after it
+            moves = [(q, i, j, min(step, x[i])) for q, (i, j) in enumerate(pairs) if q >= p]
+            moves = [move for move in moves if move[3] > 0.0]
+            if not moves:
+                break
+            cand = np.repeat(x[None], len(moves), axis=0)
+            for row, (_, i, j, amt) in zip(cand, moves):
+                row[i] -= amt
+                row[j] += amt
+            f_cand = _objectives(params, state, cand, n)
+            better = np.flatnonzero(f_cand > f_best)
+            if not better.size:
+                break
+            k = better[0]
+            x, f_best, p = cand[k], f_cand[k], moves[k][0] + 1
+            improved = True
         if not improved:
             step *= 0.5
             if step < 1e-16 * max(1.0, phi):

@@ -154,6 +154,7 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
     if abs(state.holdings) > 1e-12:
         raise ConfigError("scan operates on round trips; set phi = 0")
     zs = _scan_grid(params, z_range, points)
+    check_int("grid_points", grid_points, 1)
     l_vals = np.asarray(l_eval(zs, params.beta, params.horizon))
     bounds = np.empty(points)
     profits = np.empty(points)
@@ -161,7 +162,6 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
               for z in zs]
     panels = continuous._panels(params)  # xi* reads the model alone: one pin for every z
     lams = continuous.solve_lambda_star(params, states, extended=True, panels=panels)
-    check_int("grid_points", grid_points, 1)
     times = np.linspace(0.0, params.horizon, grid_points + 1)
     with _sharing():
         for start in range(0, points, _BLOCK):

@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_brute_force
@@ -55,6 +55,22 @@ def test_objective_diverges_for_huge_allocations(ou_params, ref_state):
     assert objective(ou_params, ref_state, np.array([1e3, phi - 1e3]), 2) < 0.0
     assert objective(ou_params, ref_state,
                      np.array([1e3, -2e3 + phi, 1e3]), 3) < 0.0
+
+
+@pytest.mark.parametrize("z, finite", [(1.0, 4), (705.0, 3)])
+def test_batched_maximand_rows_keep_objective_bits(ou_params, z, finite):
+    # z = 705 sends every row to the log-space branch (its first exponent is above 700)
+    state = MarketState(cash=0.0, holdings=3.0, price=math.exp(z))
+    rows = np.array([[0.75, 0.75, 0.75, 0.75],
+                     [3.0, 0.0, 0.0, 0.0],
+                     [-1.0, 2.5, 0.0, 1.5],          # a purchase leg
+                     [-705.0, 300.0, 400.0, 8.0],    # u = 705: log space, finite at z = 1
+                     [-1e3, 0.0, 0.0, 1e3 + 3.0],    # log space, -inf
+                     [1e3, -2e3, 1e3, 3.0]])         # log space, -inf
+    values = discrete._objectives(ou_params, state, rows, 4)
+    alone = np.array([objective(ou_params, state, row, 4) for row in rows])
+    assert values.tobytes() == alone.tobytes()
+    assert np.isfinite(values[:finite]).all() and np.isneginf(values[finite:]).all()
 
 
 def test_gradient_matches_central_differences(ou_params, ref_state):
@@ -381,13 +397,33 @@ def _oracle_cases():
 @pytest.mark.parametrize("params, state, n", _oracle_cases())
 def test_lattice_start_matches_full_cube(params, state, n, monkeypatch):
     m, c = periods(params, n)
-    x0 = discrete._lattice_start(params, state, m, c, 200)
-    assert np.array_equal(x0, reference_brute_force.lattice_start(params, state, m, c, 200))
+    x0 = reference_brute_force.lattice_start(params, state, m, c, 200)
+    assert np.array_equal(discrete._lattice_start(params, state, m, c, 200), x0)
     x, v = brute_force(params, state, n)
-    monkeypatch.setattr(discrete, "_lattice_start", reference_brute_force.lattice_start)
+    monkeypatch.setattr(discrete, "_lattice_start", lambda *args: x0)
     x_ref, v_ref = brute_force(params, state, n)
     assert np.array_equal(x, x_ref)
     assert v == v_ref
+
+
+@settings(max_examples=60)
+@given(alpha=st.floats(0.2, 3.0), beta=st.floats(0.05, 3.0), sigma=st.floats(0.0, 0.6),
+       fundamental_log=st.floats(-1.0, 1.0), z=st.floats(-2.0, 6.0), phi=st.floats(0.01, 8.0),
+       n=st.sampled_from([2, 3, 4]), resolution=st.integers(1, 40))
+@example(alpha=1.0, beta=1.0, sigma=0.2, fundamental_log=0.0, z=705.0, phi=3.0, n=4,
+         resolution=40)  # every candidate of the descent takes objective()'s log-space branch
+def test_brute_force_keeps_the_bits_of_the_full_cube_and_per_candidate_descent(
+        alpha, beta, sigma, fundamental_log, z, phi, n, resolution):
+    params = ModelParams(alpha=alpha, beta=beta, sigma=sigma,
+                         fundamental_log=fundamental_log, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=phi, price=math.exp(fundamental_log + z))
+    m, c = periods(params, n)
+    x0 = reference_brute_force.lattice_start(params, state, m, c, resolution)
+    assert np.array_equal(discrete._lattice_start(params, state, m, c, resolution), x0)
+    x, v = brute_force(params, state, n, resolution=resolution)
+    x_ref, v_ref = reference_brute_force.descent(params, state, n, x0, resolution)
+    assert x.tobytes() == x_ref.tobytes()
+    assert np.float64(v).tobytes() == np.float64(v_ref).tobytes()
 
 
 def test_lattice_start_exact_tie_keeps_first_point():

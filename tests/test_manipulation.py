@@ -255,6 +255,16 @@ def test_scan_requires_flat_book():
         scan(_params(), _state(1.0, phi=2.0), (0.0, 5.0), points=4)
 
 
+@pytest.mark.parametrize("grid_points", [0, -3, 2.5])
+def test_scan_rejects_bad_grid_points_before_solving(monkeypatch, grid_points):
+    def solve(*args, **kwargs):
+        raise AssertionError("the multiplier solve ran before grid_points was checked")
+
+    monkeypatch.setattr(continuous, "solve_lambda_star", solve)
+    with pytest.raises(ConfigError, match="grid_points"):
+        scan(_params(), _state(0.0), (1.0, 6.0), points=5, grid_points=grid_points)
+
+
 @pytest.mark.parametrize("sigma", [1.2, 2.0])  # y = 360 (the parent's bound was inf), y = 1000
 def test_large_y_bound_is_a_numerical_error(sigma):
     params = ModelParams(alpha=1.0, beta=1e-3, sigma=sigma, fundamental_log=0.0, horizon=1.0)
