@@ -42,8 +42,7 @@ def p_eval(x, alpha: float):
     if alpha <= 0.0:
         raise ConfigError("alpha must be positive")
     x = np.asarray(x, dtype=float)
-    out = np.exp(-alpha * x) * (1.0 - alpha * x)
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-alpha * x) * (1.0 - alpha * x)
 
 
 def p_inverse(q, alpha: float):
@@ -56,8 +55,7 @@ def p_inverse(q, alpha: float):
     """
     if alpha <= 0.0:
         raise ConfigError("alpha must be positive")
-    scalar = np.isscalar(q)
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    q = np.asarray(q, dtype=float)
     floor = -math.exp(-2.0)
     if np.any(q < floor - 1e-12):
         raise ConfigError("value below the minimum of the price response")
@@ -67,16 +65,13 @@ def p_inverse(q, alpha: float):
     resid = np.abs(p_eval(x, alpha) - q)
     if not np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(q))):
         raise NumericalError("price response inversion did not converge")
-    return float(x[0]) if scalar else x
+    return x
 
 
 def xi_star(params: ModelParams, lam: float, r):
     """Optimal log expected-price deviation at times r for multiplier lam; it reads the model alone."""
-    scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    g = np.exp(-np.exp(-2.0 * params.beta * r) * params.y)
-    out = p_inverse(g * lam / params.alpha, params.alpha)
-    return float(out[0]) if scalar else out
+    g = np.exp(-np.exp(-2.0 * params.beta * np.asarray(r, dtype=float)) * params.y)
+    return p_inverse(g * lam / params.alpha, params.alpha)
 
 
 def zeta_star(params: ModelParams, state: MarketState, lam: float, r, form: str = "reduced"):
@@ -86,19 +81,16 @@ def zeta_star(params: ModelParams, state: MarketState, lam: float, r, form: str 
     ="direct" differentiates eta* term by term, carrying lam explicitly.
     The two must agree to roundoff; keeping both guards the derivation.
     """
-    scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
     a, b, y = params.alpha, params.beta, params.y
     decay2 = np.exp(-2.0 * b * r)
     xi = xi_star(params, lam, r)
     if form == "reduced":
-        out = _zeta(params, xi, decay2)
-    elif form == "direct":
+        return _zeta(params, xi, decay2)
+    if form == "direct":
         inv_slope = np.exp(a * xi) / (a * (a * xi - 2.0))  # d P^{-1} / dq
-        out = b * xi + 2.0 * b * lam * decay2 * y * inv_slope * np.exp(-decay2 * y) / a + 2.0 * b * y * decay2 / a
-    else:
-        raise ConfigError(f"unknown zeta form {form!r}")
-    return float(out[0]) if scalar else out
+        return b * xi + 2.0 * b * lam * decay2 * y * inv_slope * np.exp(-decay2 * y) / a + 2.0 * b * y * decay2 / a
+    raise ConfigError(f"unknown zeta form {form!r}")
 
 
 def _zeta(params: ModelParams, xi, decay2):
@@ -155,29 +147,29 @@ def _as_list(state: MarketState | Sequence[MarketState]) -> tuple[list[MarketSta
 
 
 def h_eval(params: ModelParams, state: MarketState | Sequence[MarketState], lam,
-           panels: int | None = None) -> float | np.ndarray:
+           panels: int | None = None) -> np.ndarray:
     """Constraint mismatch H(lam) = E(lam) - lam; the optimal multiplier is its root.
 
     E(lam) = alpha exp(alpha beta int_0^t xi*_r dr - alpha phi + z - y) is
     positive and decreasing, with E(0) = alpha exp(beta t - alpha phi + z - y),
     so H has slope <= -1. The xi integral runs on the model's pinned panels,
     the discretization solve_lambda_star finds the root of; `panels` is that
-    pin, _panels(params), for a caller that already holds it. A sequence of
-    states, each with its entry of the array lam, gives an array of H, each
-    entry the float that state gives alone.
+    pin, _panels(params), for a caller that already holds it. lam holds one
+    multiplier per state, in order and in any shape; H takes that shape, and
+    each entry is the one its state gives alone.
     """
-    states, many = _as_list(state)
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lams.shape != (len(states),):
+    states = _as_list(state)[0]
+    lams = np.asarray(lam, dtype=float)
+    if lams.size != len(states):
         raise ConfigError("give one multiplier per state")
-    if not np.all((lams >= 0.0) & (lams < math.inf)):
+    flat = lams.reshape(-1)
+    if not np.all((flat >= 0.0) & (flat < math.inf)):
         raise ConfigError("the multiplier is a nonnegative finite number")
-    log_e = _log_e_with_slope(params, states, lams, panels or _panels(params))[0]
-    for le, lm in zip(log_e, lams.tolist()):
+    log_e = _log_e_with_slope(params, states, flat, panels or _panels(params))[0]
+    for le, lm in zip(log_e, flat.tolist()):
         if not le <= LOG_FLOAT_MAX:
             raise NumericalError(f"H({lm:.6g}) is beyond the float range: log E = {le:.6g}")
-    h = np.array([math.exp(le) for le in log_e]) - lams
-    return h if many else float(h[0])
+    return np.array([math.exp(le) for le in log_e]).reshape(lams.shape) - lams
 
 
 def _log_e_with_slope(params: ModelParams, states: list[MarketState], lam,

@@ -57,20 +57,18 @@ def periods(params: ModelParams, n: int) -> tuple[int, float]:
     return m, math.exp(-params.beta / n)
 
 
-def objective(params: ModelParams, state: MarketState, x, n: int) -> float:
+def objective(params: ModelParams, state: MarketState, x, n: int) -> np.ndarray:
     """Discrete proceeds maximand (in units of e^{F+y}, times alpha).
 
-    Far outside the admissible region the terms overflow double range; the
-    sum is then settled in log space so the -inf divergence (huge purchase
-    legs always dominate the sales they finance) comes out as -inf instead
-    of an overflow error.
+    x holds allocations along its last axis: an (m,) allocation gives a 0-d
+    value, a (rows, m) batch one value per row, each the one that row has
+    alone. Far outside the admissible region the terms overflow double
+    range; the sum is then settled in log space so the -inf divergence (huge
+    purchase legs always dominate the sales they finance) comes out as -inf
+    instead of an overflow error.
     """
-    return float(_objectives(params, state, [np.asarray(x, dtype=float)], n)[0])
-
-
-def _objectives(params: ModelParams, state: MarketState, xs, n: int) -> np.ndarray:
-    """objective() of every row of xs; each row's value is the one it has alone."""
-    m, c, xs, acc = _impact(params, xs, n)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    m, c, xs, acc = _impact(params, x.reshape(-1, x.shape[-1]), n)
     d = derive(params, state)
     a, y = params.alpha, params.y
     ck = c ** np.arange(m)
@@ -94,7 +92,7 @@ def _objectives(params: ModelParams, state: MarketState, xs, n: int) -> np.ndarr
             out[r] = math.inf * w if w != 0.0 else 0.0
         else:
             out[r] = w * math.exp(top)
-    return out
+    return out.reshape(x.shape[:-1])
 
 
 def discrete_value(params: ModelParams, state: MarketState, x, n: int) -> float:
@@ -102,9 +100,10 @@ def discrete_value(params: ModelParams, state: MarketState, x, n: int) -> float:
     if params.alpha <= 0.0:
         raise ConfigError("alpha must be positive")
     scale = math.exp(params.fundamental_log + params.y) / params.alpha
-    return state.cash + scale * objective(params, state, x, n)
+    return state.cash + scale * float(objective(params, state, x, n))
 
 
+@float_range("the stationarity gradient")
 def gradient(params: ModelParams, state: MarketState, x, n: int) -> np.ndarray:
     """Partial derivatives of objective(); all equal the multiplier at an optimum."""
     m, c, (x,), (acc,) = _impact(params, [np.asarray(x, dtype=float)], n)
@@ -168,14 +167,12 @@ def fnk_eval(params: ModelParams, n: int, k, x):
     """Per-period price response F^n_k, the discrete analogue of P."""
     a, _, u, x0 = _response(params, n, k)
     s, log_f = _log_abs_fnk(a, u, x0, np.asarray(x, dtype=float))
-    out = np.sign(-s) * np.exp(log_f)
-    return float(out) if out.ndim == 0 else out
+    return np.sign(-s) * np.exp(log_f)
 
 
 def fnk_zero(params: ModelParams, n: int, k):
     """Right endpoint of the domain on which F^n_k is inverted (F = 0 there)."""
-    x0 = _response(params, n, k)[3]
-    return float(x0) if np.ndim(x0) == 0 else x0
+    return _response(params, n, k)[3]
 
 
 def fnk_inverse(params: ModelParams, n: int, k, q):
@@ -190,7 +187,7 @@ def fnk_inverse(params: ModelParams, n: int, k, q):
     noise floor). The result must leave |F(x) - q| <= 1e-12 max(1, q) +
     4 eps |x| |F'(x)|, the last term the rounding floor of x.
     """
-    scalar = np.ndim(k) == 0 and np.ndim(q) == 0
+    shape = np.broadcast_shapes(np.shape(k), np.shape(q))
     k, q = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(np.asarray(q, dtype=float)))
     if not np.all((q >= -1e-15) & (q < math.inf)):
         raise ConfigError("F^n_k only takes nonnegative finite values on its domain")
@@ -222,7 +219,7 @@ def fnk_inverse(params: ModelParams, n: int, k, q):
     floor = 4.0 * np.finfo(float).eps * np.abs(x) * np.exp(np.minimum(log_df - log_m, 700.0))
     if not np.all(resid <= 1e-12 + floor):
         raise NumericalError("per-period response inversion did not converge")
-    return float(x[0]) if scalar else x
+    return x.reshape(shape)
 
 
 def _inv_log_slope(a: float, c: float, u: float, s):
@@ -309,8 +306,7 @@ def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float) -> 
             np.minimum(-c ** (2 * ks) * params.y - a * finv, 700.0))
         terms = 4.0 * np.finfo(float).eps * np.abs(finv) * slope
         floor = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
-    with float_range("the stationarity gradient"):
-        resid = np.abs(gradient(params, state, psi, n) - lam)
+    resid = np.abs(gradient(params, state, psi, n) - lam)
     if not np.all(resid <= 1e-8 * max(1.0, abs(lam)) + floor):
         raise NumericalError(
             f"stationarity residual {np.max(resid):.3e} above 1.0e-08 plus its "
@@ -423,9 +419,9 @@ def brute_force(params: ModelParams, state: MarketState, n: int,
     coordinate descent with a halving step, for at most `sweeps` sweeps.
     A sweep visits the transfers i -> j in order and takes each one that
     improves the maximand; it prices all its remaining transfers from the
-    current point in one batched call, takes the first improving one and
+    current point in one objective() call, takes the first improving one and
     goes on from the transfer after it, which visits and takes exactly what
-    one objective() call per transfer would. Only feasible for m <= 4.
+    one call per transfer would. Only feasible for m <= 4.
     """
     check_int("resolution", resolution, 1)
     check_int("sweeps", sweeps, 0)
@@ -458,7 +454,7 @@ def brute_force(params: ModelParams, state: MarketState, n: int,
             for row, (_, i, j, amt) in zip(cand, moves):
                 row[i] -= amt
                 row[j] += amt
-            f_cand = _objectives(params, state, cand, n)
+            f_cand = objective(params, state, cand, n)
             better = np.flatnonzero(f_cand > f_best)
             if not better.size:
                 break

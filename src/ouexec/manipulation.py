@@ -39,8 +39,7 @@ def l_eval(z, beta: float = 1.0, horizon: float = 1.0):
     if bt <= 0.0:
         raise ConfigError("beta and horizon must be positive")
     z = np.asarray(z, dtype=float)
-    out = 1.0 - (1.0 + bt + z) * np.exp(-bt * z / (1.0 + bt)) + bt * np.exp(-z - 1.0)
-    return float(out) if out.ndim == 0 else out
+    return 1.0 - (1.0 + bt + z) * np.exp(-bt * z / (1.0 + bt)) + bt * np.exp(-z - 1.0)
 
 
 def l_root(beta: float = 1.0, horizon: float = 1.0, lo: float = 1e-6,
@@ -155,7 +154,7 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
         raise ConfigError("scan operates on round trips; set phi = 0")
     zs = _scan_grid(params, z_range, points)
     check_int("grid_points", grid_points, 1)
-    l_vals = np.asarray(l_eval(zs, params.beta, params.horizon))
+    l_vals = l_eval(zs, params.beta, params.horizon)
     bounds = np.empty(points)
     profits = np.empty(points)
     states = [MarketState(cash=state.cash, holdings=0.0, price=math.exp(params.fundamental_log + z))

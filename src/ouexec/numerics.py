@@ -15,11 +15,20 @@ brackets or equations (a manipulation scan's z points, or a batch of
 one): each steps and stops on its own Python-float arithmetic, while one
 fdf call per round evaluates all that are still open, so every root has
 the bits of its bracket's batch of one.
+
+One array convention holds for the public numeric kernels here and in
+continuous, discrete, manipulation and proceeds: each takes array_like and
+returns NumPy's result in the broadcast shape of its inputs, a 0-d value
+for scalars, never a Python float; a caller that stores a value converts
+it with float(). Each element has the bits it has alone, except that
+lambert_w0, and the inverses built on it, settle a row along the last
+axis together and keep that row's bits.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from typing import Callable
@@ -44,15 +53,10 @@ def float_range(what: str):
             f"{what} overflows the float range ({sys.float_info.max:.6g})") from exc
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def panel_nodes(a: float, b: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +124,7 @@ def lambert_w0(x):
     l2 = np.log(l1)
     w[far] = l1 - l2 + l2 / l1
     del l1, l2  # before the rounds' buffers, which hold the peak
-    rows_x = x.reshape(math.prod(x.shape[:-1]), x.shape[-1] if x.ndim else 1)
+    rows_x = x.reshape(math.prod(x.shape[:-1]), math.prod(x.shape[-1:]))
     rows_w = w.reshape(rows_x.shape)  # a view: updating a row updates w
     buffers = np.empty((4, *rows_w.shape))  # each round works in the first rows of these
     live = slice(None)  # every row, until one settles
@@ -141,7 +145,7 @@ def lambert_w0(x):
             break
         if len(wl) > 1:  # drop the rows whose steps have all settled
             live = np.arange(len(rows_w))[live][~settled.all(axis=1)]
-    return float(w) if w.ndim == 0 else w
+    return w
 
 
 def lambert_w0_exp(log_x):
@@ -153,13 +157,13 @@ def lambert_w0_exp(log_x):
     """
     log_x = np.asarray(log_x, dtype=float)
     big = log_x >= 700.0
-    w = np.array(lambert_w0(np.exp(np.minimum(log_x, 700.0))), dtype=float)
+    w = lambert_w0(np.exp(np.minimum(log_x, 700.0)))
     lb = log_x[big]
     v = lb - np.log(lb)
     for _ in range(4):
         v -= (v + np.log(v) - lb) * v / (v + 1.0)
     w[big] = v
-    return float(w) if w.ndim == 0 else w
+    return w
 
 
 def find_root(fdf: Callable, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:

@@ -202,11 +202,9 @@ def impact_decay_profile(params: ModelParams, strategy: strat.ExecutionStrategy,
     """Log-price displacement alpha * int_0^r e^{-beta(r-v)} d eta_v.
 
     Past sales push the log price down; mean reversion pulls the
-    displacement back to zero at speed beta. Accepts a scalar time or a
-    sorted array of times in [0, horizon]; a block's own time reads the
-    post-block value.
+    displacement back to zero at speed beta. r holds times in [0, horizon],
+    sorted along its last axis, in any shape, and the result takes that
+    shape; a block's own time reads the post-block value.
     """
-    scalar = np.isscalar(r)
     times = _check_times(r, strategy.horizon)
-    out = _impact_at(params, _impact_path(params, strategy), times)
-    return float(out[0]) if scalar else out
+    return _impact_at(params, _impact_path(params, strategy), times).reshape(np.shape(r))

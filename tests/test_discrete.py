@@ -67,10 +67,20 @@ def test_batched_maximand_rows_keep_objective_bits(ou_params, z, finite):
                      [-705.0, 300.0, 400.0, 8.0],    # u = 705: log space, finite at z = 1
                      [-1e3, 0.0, 0.0, 1e3 + 3.0],    # log space, -inf
                      [1e3, -2e3, 1e3, 3.0]])         # log space, -inf
-    values = discrete._objectives(ou_params, state, rows, 4)
+    values = objective(ou_params, state, rows, 4)
     alone = np.array([objective(ou_params, state, row, 4) for row in rows])
     assert values.tobytes() == alone.tobytes()
     assert np.isfinite(values[:finite]).all() and np.isneginf(values[finite:]).all()
+
+
+def test_gradient_overflow_is_a_typed_error():
+    # the last period's exponent is 797: the objective settles it as -inf, the gradient overflows
+    params = ModelParams(alpha=1.0, beta=1.0, sigma=0.2, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=3.0, price=E)
+    x = np.array([0.0, 0.0, 0.0, -797.0])
+    assert objective(params, state, x, 4) == -math.inf
+    with pytest.raises(NumericalError, match="the stationarity gradient overflows"):
+        gradient(params, state, x, 4)
 
 
 def test_gradient_matches_central_differences(ou_params, ref_state):
