@@ -129,7 +129,7 @@ def cmd_solve(params, state, opts, out_dir: Path, tol: float) -> int:
             "closed_form": False,
             "regime": "gap",
             "value": val,
-            "fallback": "n-period stationary allocation at n = 2000",
+            "fallback": f"n-period stationary allocation at n = {continuous._GAP_FALLBACK_N}",
         }))
         return 0
 
@@ -223,7 +223,7 @@ def cmd_verify(params, state, opts, out_dir: Path, tol: float) -> int:
     grid_points = opts.get("grid_points", 1000)
 
     regime = classify(params, state)
-    if regime is Regime.GAP:  # no schedule: value() falls back to the n = 2000 solver
+    if regime is Regime.GAP:  # no schedule: value() falls back to the n-period solver
         sched, v_cont = None, continuous.value(params, state, tol=tol)
     else:
         sched = continuous.schedule(params, state, grid_points=grid_points, tol=tol)

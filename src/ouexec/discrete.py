@@ -25,14 +25,13 @@ psi_0 -> p*, n psi_k -> zeta*_{k/n}, psi_{m-1} -> q*.
 from __future__ import annotations
 
 import math
-import warnings
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, check_int, check_positive
+from .errors import ConfigError, NumericalError, _warn, check_int, check_positive
 from .model import MarketState, ModelParams, derive
-from .numerics import FLOAT_TINY, LOG_FLOAT_MAX, float_range, lambert_w0_exp, solve_multiplier
+from .numerics import LOG_FLOAT_MAX, float_range, lambert_w0_exp, solve_multiplier
 
 
 def periods(params: ModelParams, n: int) -> tuple[int, float]:
@@ -50,10 +49,8 @@ def periods(params: ModelParams, n: int) -> tuple[int, float]:
     if m < 1:
         raise ConfigError("horizon shorter than one period; increase n")
     if abs(nt - round(nt)) > 1e-9:
-        warnings.warn(
-            f"n*t = {nt:.6g} is not an integer; the discrete grid stops at "
-            f"{m}/{n} and leaves the last {params.horizon - m / n:.3g} idle",
-            UserWarning, stacklevel=2)
+        _warn(f"n*t = {nt:.6g} is not an integer; the discrete grid stops at "
+              f"{m}/{n} and leaves the last {params.horizon - m / n:.3g} idle", UserWarning)
     return m, math.exp(-params.beta / n)
 
 
@@ -264,18 +261,14 @@ def solve_lambda_hat(params: ModelParams, state: MarketState, n: int,
                      tol: float = 1e-10) -> float:
     """Root of hn_eval, for any phi.
 
-    solve_multiplier finds it inside [E_n(E_n(0)), E_n(0)]; the result
-    must leave |hn| <= tol lambda (relative down to the smallest normal
-    float). With one period E_n does not depend on lambda and the root is
-    E_n(0).
+    solve_multiplier finds it inside [E_n(E_n(0)), E_n(0)] and checks that
+    it leaves |hn| <= tol lambda. With one period E_n does not depend on
+    lambda and the root is E_n(0).
     """
     check_positive("tol", tol)
-    lam = float(solve_multiplier(
-        lambda lams, live: [[v] for v in _log_e_with_slope(params, state, lams[0], n)], 1)[0])
-    resid = abs(hn_eval(params, state, lam, n))
-    if not resid <= tol * max(lam, FLOAT_TINY):
-        raise NumericalError(f"discrete multiplier residual {resid:.3e} above {tol:.1e}")
-    return lam
+    return float(solve_multiplier(
+        lambda lams, live: [[v] for v in _log_e_with_slope(params, state, lams[0], n)], 1,
+        tol, lambda lams: [hn_eval(params, state, float(lams[0]), n)])[0])
 
 
 def recover_psi(params: ModelParams, state: MarketState, n: int, lam: float) -> np.ndarray:

@@ -21,13 +21,12 @@ proceeds evaluator must confirm positive profit on the concrete strategy.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import continuous
-from .errors import ConfigError, check_int
+from .errors import ConfigError, _warn, check_int
 from .model import MarketState, ModelParams, classify, derive
 from .numerics import LOG_FLOAT_MAX, find_root, float_range
 from .proceeds import _sharing, expected_proceeds
@@ -177,7 +176,6 @@ def scan(params: ModelParams, state: MarketState, z_range: tuple[float, float],
     certified = np.flatnonzero((bounds > 0.0) & (profits > 0.0))
     first = float(zs[certified[0]]) if certified.size else None
     if certified.size and np.any(profits[certified[0]:] <= 0.0):
-        warnings.warn("verified profit not monotone above first_profitable_z",
-                      RuntimeWarning, stacklevel=2)
+        _warn("verified profit not monotone above first_profitable_z", RuntimeWarning)
     return ManipulationReport(z_values=zs, l_values=l_vals, profit_bounds=bounds,
                               verified_profits=profits, first_profitable_z=first)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import ConfigError, StandingAssumptionWarning
+from .errors import ConfigError, StandingAssumptionWarning, _warn
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,8 @@ def classify(params: ModelParams, state: MarketState) -> Regime:
         raise ConfigError("classification needs alpha > 0 (regime boundaries scale with 1/alpha)")
     q = derive(params, state)
     if q.z <= 2.0 * q.y:
-        warnings.warn(
-            f"z = {q.z:.6g} <= 2y = {2.0 * q.y:.6g}: outside the standing assumption z > 2y",
-            StandingAssumptionWarning,
-            stacklevel=2,
-        )
+        _warn(f"z = {q.z:.6g} <= 2y = {2.0 * q.y:.6g}: outside the standing assumption z > 2y",
+              StandingAssumptionWarning)
     phi = state.holdings
     if params.sigma == 0.0 and phi > q.z / params.alpha:
         return Regime.ZERO_VOL

@@ -226,7 +226,7 @@ def find_root(fdf: Callable, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
     return np.array(roots)
 
 
-def solve_multiplier(log_e: Callable, count: int) -> np.ndarray:
+def solve_multiplier(log_e: Callable, count: int, tol: float, mismatch: Callable) -> np.ndarray:
     """Roots of `count` equations lambda = E_i(lambda), each E_i positive and decreasing.
 
     log_e(lam, live) takes a list lam of multipliers for the equations
@@ -235,7 +235,9 @@ def solve_multiplier(log_e: Callable, count: int) -> np.ndarray:
     each the root its equation has alone. In u = log lam, find_root runs
     on G(u) = log E(e^u) - u, whose slope is <= -1, over [lo, hi] =
     [log E(E(0)), log E(0)]: hi is log E(0), and lo = hi + G(hi) comes
-    with the evaluation at hi.
+    with the evaluation at hi. mismatch(lam) gives E_i - lambda_i at the
+    array of roots; each root must leave it within tol lambda_i (relative
+    down to the smallest normal float), or NumericalError is raised.
     """
     every = list(range(count))
     hi = [float(h) for h in log_e([0.0] * count, every)[0]]
@@ -253,4 +255,8 @@ def solve_multiplier(log_e: Callable, count: int) -> np.ndarray:
     # e^u is 0.0 below u = -746, so no point there says more than u = -746
     lo = [max(h + gh, min(h, -746.0)) for h, gh in zip(hi, g_hi)]
     g_lo = [max(v, 0.0) for v in g(lo, every)[0]]
-    return np.array([math.exp(u) for u in find_root(g, lo, hi, g_lo, g_hi, xtol=1e-15)])
+    lam = np.array([math.exp(u) for u in find_root(g, lo, hi, g_lo, g_hi, xtol=1e-15)])
+    for r, lm in zip(np.abs(mismatch(lam)).tolist(), lam.tolist()):
+        if not r <= tol * max(lm, FLOAT_TINY):
+            raise NumericalError(f"multiplier residual {r:.3e} above tolerance {tol:.1e}")
+    return lam

@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
 from ouexec import cli, continuous, discrete
-from ouexec.errors import NumericalError
+from ouexec.errors import NumericalError, StandingAssumptionWarning
 
 E = 2.718281828459045
 
@@ -58,6 +59,17 @@ def test_solve_gap_reports_no_closed_form(tmp_path):
     assert meta["closed_form"] is False
     assert meta["regime"] == "gap"
     assert math.isfinite(meta["value"])
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_standing_assumption_warns_once_at_the_caller(tmp_path, command):
+    # z = 0 <= 2y: the command classifies, then schedule() does; both warnings point
+    # at this file's calling line, so the default filter shows one
+    cfg = _write_config(tmp_path, "c.json", s=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert [(w.category, w.filename) for w in caught] == [(StandingAssumptionWarning, __file__)]
 
 
 def test_converge_outputs(tmp_path):

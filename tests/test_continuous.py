@@ -3,6 +3,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ import reference_scan
 import reference_values as ref
 from conftest import E, random_large_instance, random_small_instance
 from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, Regime,
-                    RegimeError, StandingAssumptionWarning, classify, expected_proceeds)
+                    RegimeError, StandingAssumptionWarning, classify, expected_price_path,
+                    expected_proceeds)
 from ouexec import continuous, numerics
 from ouexec import zero_vol
 from ouexec.continuous import (h_eval, p_eval, p_inverse, schedule,
@@ -157,8 +159,9 @@ def test_multiplier_residual_check_is_relative(monkeypatch):
     state = MarketState(cash=0.0, holdings=10.0, price=math.exp(1.0))
     lam = continuous.solve_lambda_star(params, state, extended=True)
     assert lam < 1e-10
-    monkeypatch.setattr(continuous, "solve_multiplier",
-                        lambda log_e, count: np.full(count, 2.0 * lam))
+    # the root finder lands on twice the root; solve_multiplier's check must refuse it
+    monkeypatch.setattr(numerics, "find_root",
+                        lambda g, lo, *_, **__: np.full(len(lo), math.log(2.0 * lam)))
     with pytest.raises(NumericalError, match="residual"):
         continuous.solve_lambda_star(params, state, extended=True)
 
@@ -355,6 +358,48 @@ def test_small_holdings_block_schedule(ou_params):
     assert sched.value == pytest.approx(ref.SMALL_HOLDINGS_VALUE, rel=1e-14)
     val = expected_proceeds(params, state, sched.strategy)
     assert val == pytest.approx(sched.value, rel=1e-14)
+
+
+@pytest.mark.parametrize("params,state", [
+    (ModelParams(alpha=1.0, beta=1.0, sigma=0.2, fundamental_log=0.0, horizon=1.0),
+     MarketState(cash=0.0, holdings=0.5, price=E)),
+    (ModelParams(alpha=0.7, beta=1.3, sigma=0.25, fundamental_log=-0.3, horizon=0.8),
+     MarketState(cash=1.0, holdings=1.5, price=math.exp(1.7))),
+], ids=["reference", "off_reference"])
+def test_small_holdings_price_decays_the_block_impact(params, state):
+    # after the block at 0 its impact alpha phi relaxes at speed beta:
+    # E[S_r] = e^{F+y} exp(e^{-beta r}(z - alpha phi) - e^{-2 beta r} y), to 50 digits
+    sched = schedule(params, state, grid_points=1000)
+    assert sched.regime is Regime.SMALL_HOLDINGS
+    with mpmath.workdps(50):
+        a, b, phi = mpmath.mpf(params.alpha), mpmath.mpf(params.beta), mpmath.mpf(state.holdings)
+        f = mpmath.mpf(params.fundamental_log)
+        y = mpmath.mpf(params.sigma) ** 2 / (4 * b)
+        z = mpmath.log(mpmath.mpf(state.price)) - f
+        want = [mpmath.exp(f + y + mpmath.exp(-b * r) * (z - a * phi) - mpmath.exp(-2 * b * r) * y)
+                for r in map(mpmath.mpf, sched.times.tolist())]
+        gap = max(abs(mpmath.mpf(p) / w - 1) for p, w in zip(sched.expected_price.tolist(), want))
+    assert gap <= 1e-14
+    evaluator = expected_price_path(params, state, sched.strategy, sched.times)
+    assert np.max(np.abs(sched.expected_price / evaluator - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [400, 1000])
+def test_schedule_price_is_the_evaluators_on_its_strategy(grid):
+    # in every closed-form regime the price column is E[S_r] under sched.strategy; the
+    # last point is excluded, as the column reads it before the terminal block
+    bounds = {Regime.LARGE_HOLDINGS: 1e-9, Regime.ZERO_VOL: 2e-14, Regime.SMALL_HOLDINGS: 1e-14}
+    seen = set()
+    rng = np.random.default_rng(24 + grid)
+    for make in (random_large_instance, random_small_instance):
+        for params, state in (make(rng) for _ in range(10)):
+            for p in (params, dataclasses.replace(params, sigma=0.0)):
+                sched = schedule(p, state, grid_points=grid)
+                evaluator = expected_price_path(p, state, sched.strategy, sched.times[:-1])
+                gap = np.max(np.abs(sched.expected_price[:-1] / evaluator - 1.0))
+                assert gap <= bounds[sched.regime], (sched.regime, p, state)
+                seen.add(sched.regime)
+    assert seen == set(bounds)
 
 
 def test_gap_regime_refuses_schedule_but_values(ou_params):

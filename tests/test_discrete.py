@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference_brute_force
 from conftest import E, random_large_instance
-from ouexec import ConfigError, MarketState, ModelParams, NumericalError, discrete
+from ouexec import ConfigError, MarketState, ModelParams, NumericalError, discrete, numerics
 from ouexec.discrete import (brute_force, discrete_value, fnk_eval,
                              fnk_inverse, fnk_zero, gradient, hn_eval,
                              objective, periods, recover_psi, solve_lambda_hat)
@@ -29,6 +29,16 @@ def test_periods_flags_truncated_horizon():
     with pytest.warns(UserWarning, match="not an integer"):
         m, _ = periods(params, 10)
     assert m == 4
+
+
+def test_truncated_horizon_warns_once_at_the_caller(ou_params, ref_state):
+    # n t = 9.5: every pass of the solve through periods() warns, and all of them point
+    # at this file's calling line, so the default filter shows one
+    params = dataclasses.replace(ou_params, horizon=0.95)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        solve_lambda_hat(params, ref_state, 10)
+    assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
 
 def test_single_period_multiplier_closed_form(ou_params, ref_state):
@@ -216,8 +226,9 @@ def test_multiplier_residual_check_is_relative(monkeypatch):
     state = MarketState(cash=0.0, holdings=10.0, price=math.exp(1.0))
     lam = solve_lambda_hat(params, state, 10)
     assert lam < 1e-10
-    monkeypatch.setattr(discrete, "solve_multiplier",
-                        lambda log_e, count: np.full(count, 2.0 * lam))
+    # the root finder lands on twice the root; solve_multiplier's check must refuse it
+    monkeypatch.setattr(numerics, "find_root",
+                        lambda g, lo, *_, **__: np.full(len(lo), math.log(2.0 * lam)))
     with pytest.raises(NumericalError, match="residual"):
         solve_lambda_hat(params, state, 10)
 

@@ -11,7 +11,7 @@ import reference_values as ref
 from ouexec import (ConfigError, MarketState, ModelParams, NumericalError, RegimeError,
                     StandingAssumptionWarning, continuous, expected_proceeds, manipulation,
                     proceeds)
-from ouexec.continuous import schedule, value_block_form
+from ouexec.continuous import schedule
 from ouexec.manipulation import l_eval, l_root, round_trip_profit_bound, scan
 
 

@@ -56,8 +56,12 @@ def _root_of_one(fdf, lo, hi, f_lo, f_hi, xtol):
 
 
 def _multiplier_of_one(log_e):
-    """solve_multiplier on a batch of one equation, with log E and its slope from log_e(lam)."""
-    lams = solve_multiplier(lambda lam, live: [[v] for v in log_e(lam[0])], 1)
+    """solve_multiplier on a batch of one equation, with log E and its slope from log_e(lam).
+
+    The root must leave E - lambda within 1e-10 lambda, E taken from log_e.
+    """
+    lams = solve_multiplier(lambda lam, live: [[v] for v in log_e(lam[0])], 1, 1e-10,
+                            lambda lam: [math.exp(log_e(float(lam[0]))[0]) - float(lam[0])])
     assert lams.shape == (1,)
     return float(lams[0])
 
@@ -171,7 +175,8 @@ def test_solve_multiplier_system_matches_one_solve_per_equation():
     def log_e(lam, live):
         return np.log(cs[live]) - lam, -np.asarray(lam)
 
-    lams = solve_multiplier(log_e, cs.size)
+    lams = solve_multiplier(log_e, cs.size, 1e-10,
+                            lambda lam: np.exp(log_e(lam, np.arange(cs.size))[0]) - lam)
     assert lams.tolist() == [_multiplier_of_one(lambda lam, c=c: (math.log(c) - lam, -lam))
                              for c in cs]
 
@@ -286,7 +291,8 @@ def test_solve_multiplier_refuses_e0_beyond_range():
         _multiplier_of_one(lambda lam: (math.nan, 0.0))
     with pytest.raises(NumericalError):  # one equation beyond the range fails the batch
         solve_multiplier(lambda lam, live: ([[0.0, 700.0][i] - v for i, v in zip(live, lam)],
-                                            [-v for v in lam]), 2)
+                                            [-v for v in lam]), 2, 1e-10,
+                         lambda lam: np.exp([0.0, 700.0] - lam) - lam)
 
 
 @settings(max_examples=60)
