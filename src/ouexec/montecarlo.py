@@ -15,6 +15,12 @@ are bit-reproducible for a given (seed, paths, steps) triple regardless
 of hardware. The step loop works in buffers allocated once per call (log
 prices, cash, one scratch vector and one vector of normals) and allocates
 no array per step; the normals fill the buffer in the same draw order.
+
+A step of length h integrates f = e^g, g(u) = const + A e^{-beta u} - y e^{-2 beta u},
+A = x - F + alpha zeta/beta, on the fewest Gauss-Legendre nodes m <= 5 whose remainder
+c_m h^{2m+1} f^{(2m)}, c_m = (m!)^4/((2m+1)((2m)!)^3) (Davis & Rabinowitz, sec. 2.7),
+is at most 2^-52 of it on every path: by |g^{(j)}| <= K_j = |A| beta^j + y (2 beta)^j,
+that share is <= c_m B_2m(h K_1, ..., h^2m K_2m) e^{h K_1} (complete Bell), rising in |A|.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ import numpy as np
 
 from .errors import ConfigError, check_int
 from .model import MarketState, ModelParams, block_factor, derive
-from .numerics import float_range, gl_nodes
+from .numerics import find_root, float_range, gl_nodes
 from .strategy import ExecutionStrategy
 
-_ACCRUAL_ORDER = 5
+_ACCRUAL_ORDER = 5  # the most nodes a step's accrual takes
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,35 @@ class SimulationReport:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _accrual_limits(q: float, y: float) -> list[float]:
+    """Largest reach q|A| (q = beta h) at which m = 1..4 nodes meet the bound; -inf for none."""
+    limits = [-math.inf] * (_ACCRUAL_ORDER - 1)
+    for m in range(1, _ACCRUAL_ORDER if q < 1.0 else 1):  # q >= 1 needs |A| < 4e-7 for m < 5
+        n = 2 * m
+        log_c = math.log(2.0 ** 52 * math.factorial(m) ** 4 / (n + 1) / math.factorial(n) ** 3)
+
+        def log_share(u, _):  # log(c_m B_2m e^{s_1} / 2^-52) at q|A| = e^u, and d/du
+            a = math.exp(u[0])
+            s = [q ** j * (a + y * 2.0 ** (j + 1) * q) for j in range(n)]  # h^j K_j, j = 1..n
+            b = [1.0]  # B_{k+1} = sum_j C(k, j) B_{k-j} s_{j+1}; dB_n/ds_j = C(n, j) B_{n-j}
+            for k in range(n):
+                b.append(sum(math.comb(k, j) * b[k - j] * s[j] for j in range(k + 1)))
+            slope = sum(math.comb(n, j + 1) * b[n - j - 1] * q ** j for j in range(n))
+            return [log_c + math.log(b[n]) + s[0]], [a * (slope / b[n] + 1.0)]
+
+        hi = -log_c / n  # c_m (q|A|)^2m = 2^-52 there, and B_2m >= (q|A|)^2m
+        f_lo, f_hi = log_share([hi - 50.0], 0)[0][0], max(log_share([hi], 0)[0][0], 0.0)
+        if f_lo <= 0.0:  # else the limit is below e^-50 of hi: m nodes never do
+            root = find_root(log_share, [hi - 50.0], [hi], [f_lo], [f_hi], xtol=1e-15)[0]
+            limits[m - 1] = math.exp(root - 1e-9)  # a margin for the root's rounding
+    return limits
+
+
+def _accrual_order(limits: list[float], reach: float) -> int:
+    """The fewest nodes whose bound holds at reach q max|A| (a nan reach takes the most)."""
+    return next((m for m, limit in enumerate(limits, 1) if reach <= limit), _ACCRUAL_ORDER)
 
 
 @float_range("the Monte Carlo estimate")
@@ -80,13 +115,13 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
         idx = min(max(idx, 0), steps)
         boundary_blocks[idx] = boundary_blocks.get(idx, 0.0) + p
 
-    # within-step accrual: E[exp(X_{u})] given the step start, at GL nodes
-    nodes, weights = gl_nodes(_ACCRUAL_ORDER)
-    u = 0.5 * dt * (nodes + 1.0)
-    k_u = np.exp(-b * u)
-    w_u = 0.5 * dt * weights
-    base_m = (1.0 - k_u) * fund + y * (1.0 - k_u ** 2)
-    accrual = list(zip(k_u.tolist(), w_u.tolist(), base_m.tolist()))
+    accrual = []  # within-step accrual: E[exp(X_{u})] given the step start, at 1..5 GL nodes
+    for nodes, weights in map(gl_nodes, range(1, _ACCRUAL_ORDER + 1)):
+        k_u = np.exp(-b * (0.5 * dt * (nodes + 1.0)))
+        w_u = 0.5 * dt * weights
+        base_m = (1.0 - k_u) * fund + y * (1.0 - k_u ** 2)
+        accrual.append(list(zip(k_u.tolist(), w_u.tolist(), base_m.tolist())))
+    limits = _accrual_limits(b * dt, y)
 
     decay = math.exp(-b * dt)
     step_sd = 0.0 if deterministic else sig * math.sqrt((1.0 - decay ** 2) / (2.0 * b))
@@ -107,7 +142,9 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
             x -= a * p_here
         zeta = float(dens[cell_of_step[j]])
         if zeta != 0.0:
-            for k, w, m in accrual:
+            shift = a * zeta / b - fund  # A = x + shift
+            reach = max(x.max() + shift, -(x.min() + shift)) * (b * dt)
+            for k, w, m in accrual[_accrual_order(limits, reach) - 1]:
                 np.multiply(x, k, out=buf)
                 buf += m - a * zeta * (1.0 - k) / b
                 cash += np.multiply(np.exp(buf, out=buf), w * zeta, out=buf)
@@ -121,7 +158,10 @@ def simulate(params: ModelParams, state: MarketState, strategy: ExecutionStrateg
         cash += np.multiply(np.exp(x, out=buf), block_factor(p_end, a), out=buf)
 
     mean = float(np.mean(cash))
-    se = 0.0 if n_paths == 1 else float(np.std(cash, ddof=1) / math.sqrt(n_paths))
+    try:
+        se = 0.0 if n_paths == 1 else float(np.std(cash, ddof=1) / math.sqrt(n_paths))
+    except FloatingPointError:  # only the squares overflow: take the spread of cash / max|cash|
+        se = float(np.std(cash / (top := np.abs(cash).max()), ddof=1) / math.sqrt(n_paths) * top)
     return SimulationReport(paths=n_paths, mean_cash=mean, std_error=se,
                             seed=seed, elapsed=time.perf_counter() - start)
 

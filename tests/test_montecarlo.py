@@ -1,12 +1,15 @@
+import collections
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_montecarlo
-from ouexec import ConfigError, MarketState, ModelParams, expected_proceeds, simulate
+from ouexec import ConfigError, MarketState, ModelParams, expected_proceeds, montecarlo, simulate
 from ouexec.continuous import schedule
 from ouexec.discrete import discrete_value, recover_psi, solve_lambda_hat
 from ouexec.strategy import ExecutionStrategy, assemble_optimal, period_blocks
@@ -156,8 +159,137 @@ def test_buffered_loop_matches_the_per_step_loop(inst, paths, seed):
 
 
 def test_reference_instance_mean_is_frozen(ou_params, ref_state):
-    # the per-step loop's bits on the reference schedule: 2000 paths x 1000 steps, seed 0
+    # the per-step loop's bits on the reference schedule: 2000 paths x 1000 steps, seed 0.
+    # 5 nodes on every step gave 0x1.672282c862bb4p+1 and 0x1.7f12dced6836fp-10;
+    # 12 nodes on every step give 0x1.672282c862bb6p+1 and 0x1.7f12dced6834cp-10
     sched = schedule(ou_params, ref_state, grid_points=1000)
     rep = simulate(ou_params, ref_state, sched.strategy, paths=2000, steps=1000, seed=0)
     assert rep.mean_cash.hex() == "0x1.672282c862bb4p+1"
-    assert rep.std_error.hex() == "0x1.7f12dced6836fp-10"
+    assert rep.std_error.hex() == "0x1.7f12dced68349p-10"
+
+
+def _counted_orders(monkeypatch):
+    """Record (limits, reach, order) of every accruing step of the next simulate calls."""
+    seen, order = [], montecarlo._accrual_order
+
+    def counted(limits, reach):
+        seen.append((limits, reach, order(limits, reach)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(montecarlo, "_accrual_order", counted)
+    return seen
+
+
+def _partitions(n, largest=None):
+    """Integer partitions of n as {part: multiplicity}."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield {}
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield {**rest, part: rest.get(part, 0) + 1}
+
+
+def _remainder_ratio(m, q, y, reach):
+    """c_m B_2m(s) e^{s_1} in 50 digits, B_2m summed over the partitions of 2m."""
+    with mpmath.workdps(50):
+        q, y, a, n = mpmath.mpf(q), mpmath.mpf(y), mpmath.mpf(reach), 2 * m
+        s = {j: a * q ** (j - 1) + y * (2 * q) ** j for j in range(1, n + 1)}
+        f = mpmath.factorial
+        bell = mpmath.fsum(f(n) * mpmath.fprod(s[j] ** k / (f(k) * f(j) ** k)
+                                               for j, k in parts.items())
+                           for parts in _partitions(n))
+        c = f(m) ** 4 / ((2 * m + 1) * f(n) ** 3)
+        return c * bell * mpmath.exp(s[1])
+
+
+@pytest.mark.parametrize("sigma, beta", [(0.0, 1.1), (0.2, 1.0), (0.39, 0.61), (0.3, 5.0)])
+def test_chosen_order_is_the_fewest_nodes_whose_bound_holds(monkeypatch, sigma, beta):
+    params = ModelParams(alpha=1.0, beta=beta, sigma=sigma, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=8.0, price=math.e)
+    strat = schedule(params, state, grid_points=200).strategy
+    seen = _counted_orders(monkeypatch)
+    simulate(params, state, strat, paths=500, steps=200, seed=3)
+    assert len(seen) == 200
+    q = beta / 200
+    for limits, reach, m in seen[::7] + seen[-1:]:
+        if m < 5:
+            assert _remainder_ratio(m, q, params.y, reach) <= mpmath.mpf(2) ** -52
+        if m > 1:
+            assert _remainder_ratio(m - 1, q, params.y, reach) > mpmath.mpf(2) ** -52 * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("sigma, orders", [(0.0, [1, 2, 3, 4]), (2e-4, [2, 3, 4])])
+def test_chosen_order_matches_twelve_nodes_at_each_switch(monkeypatch, sigma, orders):
+    # one step of one path (beta dt = 0.05), with zeta set so that A = x - F + alpha zeta /
+    # beta sits just below and just above each order's limit, where |A| <= 1.3
+    params = ModelParams(alpha=1.0, beta=2.0, sigma=sigma, fundamental_log=0.0, horizon=0.025)
+    state = MarketState(cash=0.0, holdings=1.0, price=1.0)  # x = F = 0
+    q = params.beta * params.horizon
+    limits = montecarlo._accrual_limits(q, params.y)
+    switches = [(m, limit / q) for m, limit in enumerate(limits, 1) if limit > 0.0]
+    assert [m for m, _ in switches] == orders  # y > 0: one node is never enough
+    seen = _counted_orders(monkeypatch)
+    for m, a_limit in switches:
+        for side, a_step in ((m, a_limit * (1 - 1e-6)), (m + 1, a_limit * (1 + 1e-6))):
+            zeta = a_step * params.beta / params.alpha
+            strat = ExecutionStrategy(impulses=(), density=np.array([zeta]), horizon=0.025)
+            rep = simulate(params, state, strat, paths=1, steps=1, seed=0)
+            assert seen[-1][2] == side
+            twelve, _ = reference_montecarlo.simulate(params, state, strat, 1, 1, 0,
+                                                      order=reference_montecarlo.fixed_order(12))
+            assert abs(rep.mean_cash - twelve) <= 4 * math.ulp(twelve)
+
+
+def test_large_beta_dt_keeps_five_nodes_and_their_bits(monkeypatch, ou_params, ref_state):
+    # beta dt = 0.2; the bits are those of 5 nodes on every step
+    strat = schedule(ou_params, ref_state, grid_points=5).strategy
+    seen = _counted_orders(monkeypatch)
+    rep = simulate(ou_params, ref_state, strat, paths=2000, steps=5, seed=3)
+    assert [m for *_, m in seen] == [5] * 5
+    assert (rep.mean_cash.hex(), rep.std_error.hex()) == ("0x1.66f6afc3ad093p+1",
+                                                          "0x1.58b860246a064p-10")
+
+
+def test_period_blocks_keep_their_bits(monkeypatch, ou_params, ref_state):
+    # a block-only strategy never accrues: the bits of 5 nodes on every step
+    lam = solve_lambda_hat(ou_params, ref_state, 10)
+    psi = recover_psi(ou_params, ref_state, 10, lam)
+    seen = _counted_orders(monkeypatch)
+    rep = simulate(ou_params, ref_state, period_blocks(psi, 10), paths=2000, steps=10, seed=3)
+    assert seen == []
+    assert (rep.mean_cash.hex(), rep.std_error.hex()) == ("0x1.64905c3d0d329p+1",
+                                                          "0x1.71e5677adcc02p-10")
+
+
+def test_sigma_zero_matches_the_evaluator_to_rounding(monkeypatch):
+    # instance 0 of the verify_xcheck benchmark workload at seed 21; 5 nodes on every step
+    # were 1.07e-13 off, as the 5-node weights sum to 2 - 2^-52
+    params = ModelParams(alpha=1.6716763832262065, beta=1.1058470295709681, sigma=0.0,
+                         fundamental_log=0.1307144158739043, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=1.514901719895389, price=7.332210466577487)
+    strat = schedule(params, state, grid_points=1000).strategy
+    seen = _counted_orders(monkeypatch)
+    rep = simulate(params, state, strat, paths=20_000, steps=1000, seed=1333199766)
+    assert collections.Counter(m for *_, m in seen) == {1: 1000}  # A stays at rounding level
+    target = expected_proceeds(params, state, strat)
+    assert abs(rep.mean_cash - target) <= 1e-14 * abs(target)
+
+
+def test_standard_error_survives_an_overflowing_square():
+    # the mean is finite (-1.5e215) but squaring the deviations overflows
+    params = ModelParams(alpha=1.0, beta=1e-3, sigma=1.0, fundamental_log=0.0, horizon=1.0)
+    state = MarketState(cash=0.0, holdings=1.0, price=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # z = 0 <= 2y: an extended schedule
+        strat = schedule(params, state, grid_points=10, extended=True).strategy
+    rep = simulate(params, state, strat, paths=64, steps=10, seed=0)
+    assert math.isfinite(rep.mean_cash) and math.isfinite(rep.std_error)
+    cash = reference_montecarlo.terminal_cash(params, state, strat, 64, 10, 0)
+    assert rep.mean_cash == float(np.mean(cash))
+    with mpmath.workdps(50):
+        values = [mpmath.mpf(float(c)) for c in cash]
+        mean = mpmath.fsum(values) / len(values)
+        sd = mpmath.sqrt(mpmath.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
+        exact = sd / mpmath.sqrt(len(values))
+        assert abs(rep.std_error - exact) <= 1e-12 * exact
